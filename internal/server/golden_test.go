@@ -273,6 +273,8 @@ func TestGoldenErrorEnvelopes(t *testing.T) {
 			goldenResponse{http.StatusUnprocessableEntity, "Content-Type: application/json", `{"error":"batch rejected: dynamic: update 0: duplicate edge {0,1}"}` + "\n"}},
 		{"ack unknown subscription", base + "/watch/ack", planarcert.WireContentType, ack999, "Content-Type",
 			goldenResponse{http.StatusNotFound, "Content-Type: application/json", `{"error":"no subscription 999"}` + "\n"}},
+		{"ack body over its 64 KiB cap", base + "/watch/ack", planarcert.WireContentType, make([]byte, 1<<16+1), "Content-Type",
+			goldenResponse{http.StatusRequestEntityTooLarge, "Content-Type: application/json", `{"error":"http: request body too large"}` + "\n"}},
 		{"ack unsupported media type", base + "/watch/ack", "application/json", ack999, "Accept-Post",
 			goldenResponse{http.StatusUnsupportedMediaType, "Accept-Post: application/x-planarcert-frame", `{"error":"unsupported Content-Type \"application/json\" (want application/x-planarcert-frame)"}` + "\n"}},
 	}

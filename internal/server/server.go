@@ -13,8 +13,8 @@
 // planarcert.WorkerBudget so that N concurrent flushes cannot
 // oversubscribe the machine.
 //
-// Endpoints (all request/response bodies are JSON; see api.go for the
-// wire types):
+// Endpoints (bodies are JSON unless the binary frame protocol is
+// negotiated — see wire.go; api.go has the JSON types):
 //
 //	GET    /healthz                        liveness + session/batch counters
 //	GET    /readyz                         503 until boot recovery completes
@@ -26,12 +26,13 @@
 //	GET    /v1/sessions                    list sessions
 //	GET    /v1/sessions/{name}             session status
 //	DELETE /v1/sessions/{name}             delete (terminates watch streams)
-//	POST   /v1/sessions/{name}/updates     NDJSON update batch; ?mode=apply|queue
+//	POST   /v1/sessions/{name}/updates     NDJSON or frame update batch; ?mode=apply|queue
 //	POST   /v1/sessions/{name}/flush       absorb the queued log as one batch
 //	POST   /v1/sessions/{name}/verify      full 1-round re-verification
 //	GET    /v1/sessions/{name}/certificates  current assignment
 //	GET    /v1/sessions/{name}/graph       current topology (node/edge lists)
-//	GET    /v1/sessions/{name}/watch       chunked NDJSON stream of SessionReports
+//	GET    /v1/sessions/{name}/watch       stream of SessionReports (NDJSON, or ?format=binary)
+//	POST   /v1/sessions/{name}/watch/ack   ack or nack a binary watch subscription
 //
 // # Durability
 //
@@ -775,35 +776,71 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 // again including previously queued updates; clients mixing queue-mode
 // writers must coordinate or accept that coupling.
 func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	ms := s.lookup(r.PathValue("name"))
+	ms := s.batchSession(w, r)
 	if ms == nil {
-		writeError(w, http.StatusNotFound, "no session %q", r.PathValue("name"))
 		return
 	}
+	var (
+		updates           []planarcert.Update
+		binary, queue, ok bool
+	)
 	switch contentTypeBase(r.Header.Get("Content-Type")) {
 	case "", "application/x-ndjson", "application/json":
-		// NDJSON below.
+		updates, queue, ok = s.decodeNDJSON(w, r)
 	case wire.ContentType:
-		s.handleUpdatesBinary(w, r, ms)
-		return
+		sc := wireScratchPool.Get().(*wireScratch)
+		defer wireScratchPool.Put(sc)
+		binary = true
+		updates, queue, ok = s.decodeFrame(w, r, sc)
 	default:
 		s.rejectMediaType(w, r)
 		return
 	}
-	mode := r.URL.Query().Get("mode")
-	if mode == "" {
-		mode = "apply"
-	}
-	if mode != "apply" && mode != "queue" {
-		writeError(w, http.StatusBadRequest, "mode must be apply or queue, got %q", mode)
+	if !ok {
 		return
 	}
+	ms.touch()
+	if queue {
+		pending := ms.queue(updates)
+		s.replyBatch(w, binary, http.StatusAccepted, &planarcert.WireBatchAck{Queued: len(updates), Pending: pending})
+		return
+	}
+	s.execBatch(w, r, ms, updates, binary)
+}
 
-	var updates []planarcert.Update
+// handleFlush absorbs the session's queued log as one batch.
+func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
+	ms := s.batchSession(w, r)
+	if ms == nil {
+		return
+	}
+	ms.touch()
+	s.execBatch(w, r, ms, nil, false)
+}
+
+// batchSession resolves the session of a batch request, answering 503
+// while the server drains and 404 for an unknown session.
+func (s *Server) batchSession(w http.ResponseWriter, r *http.Request) *session {
+	if s.draining.Load() {
+		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		return nil
+	}
+	ms := s.lookup(r.PathValue("name"))
+	if ms == nil {
+		writeError(w, http.StatusNotFound, "no session %q", r.PathValue("name"))
+	}
+	return ms
+}
+
+// decodeNDJSON reads an NDJSON updates body, one UpdateLine per line;
+// ?mode=queue only queues the batch. On failure it has written the
+// error response and ok is false.
+func (s *Server) decodeNDJSON(w http.ResponseWriter, r *http.Request) (updates []planarcert.Update, queue, ok bool) {
+	mode := r.URL.Query().Get("mode")
+	if mode != "" && mode != "apply" && mode != "queue" {
+		writeError(w, http.StatusBadRequest, "mode must be apply or queue, got %q", mode)
+		return nil, false, false
+	}
 	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, 64<<20))
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
 	line := 0
@@ -815,37 +852,32 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		}
 		if len(updates) >= s.cfg.MaxBatchUpdates {
 			writeError(w, http.StatusRequestEntityTooLarge, "batch exceeds %d updates", s.cfg.MaxBatchUpdates)
-			return
+			return nil, false, false
 		}
 		var ul UpdateLine
 		if err := json.Unmarshal(raw, &ul); err != nil {
 			writeError(w, http.StatusBadRequest, "line %d: %v", line, err)
-			return
+			return nil, false, false
 		}
 		u, err := ul.Update()
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "line %d: %v", line, err)
-			return
+			return nil, false, false
 		}
 		updates = append(updates, u)
 	}
 	if err := sc.Err(); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "%v", err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
+		bodyError(w, err)
+		return nil, false, false
 	}
+	return updates, mode == "queue", true
+}
 
-	ms.touch()
-	if mode == "queue" {
-		pending := ms.queue(updates)
-		writeJSON(w, http.StatusAccepted, UpdatesResponse{Queued: len(updates), Pending: pending})
-		return
-	}
-
+// execBatch is the one admit → execute → respond path of NDJSON
+// updates, frame updates and flush: batch admission, the absorb under a
+// batch span, the batch metrics, then the response in the request's
+// format.
+func (s *Server) execBatch(w http.ResponseWriter, r *http.Request, ms *session, updates []planarcert.Update, binary bool) {
 	sp := s.tracer.Start(ms.name, obs.SpanBatch)
 	if !s.acquireExec(ms.execClaim, sp, r.Context().Done()) {
 		sp.SetStr("error", "admission timeout")
@@ -853,17 +885,37 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "admission queue timed out (class %q)", ms.qos)
 		return
 	}
-	rep, elapsed, err := ms.apply(updates, sp)
+	rep, elapsed, err := ms.absorb(sp, updates)
 	ms.execClaim.Release()
 	if err != nil {
 		sp.SetStr("error", err.Error())
-		sp.End()
+	}
+	sp.End()
+	if err != nil {
 		s.batchError(w, err)
 		return
 	}
-	sp.End()
 	s.recordBatch(sp, ms, rep, elapsed)
-	writeJSON(w, http.StatusOK, UpdatesResponse{Queued: len(updates), Report: rep, ElapsedSeconds: elapsed.Seconds()})
+	s.replyBatch(w, binary, http.StatusOK, &planarcert.WireBatchAck{Queued: len(updates), Elapsed: elapsed, Report: rep})
+}
+
+// replyBatch writes a batch outcome in the request's format: a batch-ack
+// frame, or the UpdatesResponse JSON body. A frame encode failure
+// (out-of-range values) falls back to the JSON error envelope.
+func (s *Server) replyBatch(w http.ResponseWriter, binary bool, code int, ack *planarcert.WireBatchAck) {
+	if !binary {
+		writeJSON(w, code, UpdatesResponse{Queued: ack.Queued, Pending: ack.Pending, Report: ack.Report, ElapsedSeconds: ack.Elapsed.Seconds()})
+		return
+	}
+	frame, err := planarcert.EncodeBatchAckFrame(ack)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encode ack frame: %v", err)
+		return
+	}
+	w.Header().Set("Content-Type", wire.ContentType)
+	w.WriteHeader(code)
+	_, _ = w.Write(frame)
+	s.met.wireFrames.Add(1)
 }
 
 // recordBatch feeds one flushed batch into the metrics. With tracing
@@ -888,37 +940,6 @@ func (s *Server) batchError(w http.ResponseWriter, err error) {
 	}
 	s.met.batchesRejected.Add(1)
 	writeError(w, http.StatusUnprocessableEntity, "batch rejected: %v", err)
-}
-
-func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	ms := s.lookup(r.PathValue("name"))
-	if ms == nil {
-		writeError(w, http.StatusNotFound, "no session %q", r.PathValue("name"))
-		return
-	}
-	ms.touch()
-	sp := s.tracer.Start(ms.name, obs.SpanBatch)
-	if !s.acquireExec(ms.execClaim, sp, r.Context().Done()) {
-		sp.SetStr("error", "admission timeout")
-		sp.End()
-		writeError(w, http.StatusServiceUnavailable, "admission queue timed out (class %q)", ms.qos)
-		return
-	}
-	rep, elapsed, err := ms.flush(sp)
-	ms.execClaim.Release()
-	if err != nil {
-		sp.SetStr("error", err.Error())
-		sp.End()
-		s.batchError(w, err)
-		return
-	}
-	sp.End()
-	s.recordBatch(sp, ms, rep, elapsed)
-	writeJSON(w, http.StatusOK, UpdatesResponse{Report: rep, ElapsedSeconds: elapsed.Seconds()})
 }
 
 func (s *Server) handleSessionVerify(w http.ResponseWriter, r *http.Request) {
@@ -970,9 +991,10 @@ func (s *Server) handleSessionGraph(w http.ResponseWriter, r *http.Request) {
 // chunked NDJSON; ?format=binary switches to the frame protocol with a
 // version-acknowledged subscription (hello frame, then one event frame
 // per batch; resume with ?sub=, acknowledge on .../watch/ack). With
-// ?replay=last the current last report is emitted first, so a watcher
-// always has a starting state. Each report is marshaled once per format
-// and the bytes fanned out to every watcher.
+// ?replay=last the latest report is emitted first, so a watcher always
+// has a starting state. The format picks only the preamble (the hello
+// frame) and which pre-encoded bytes of each event are written; every
+// report is marshaled once per format and fanned out to every watcher.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	ms := s.lookup(r.PathValue("name"))
 	if ms == nil {
@@ -984,44 +1006,49 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported by transport")
 		return
 	}
-	switch r.URL.Query().Get("format") {
+	q := r.URL.Query()
+	contentType, binary := "application/x-ndjson", false
+	switch q.Get("format") {
 	case "", "json", "ndjson":
-		// NDJSON below.
 	case "binary":
-		s.handleWatchBinary(w, r, ms, flusher)
-		return
+		contentType, binary = wire.ContentType, true
 	default:
-		writeError(w, http.StatusBadRequest, "format must be json or binary, got %q", r.URL.Query().Get("format"))
+		writeError(w, http.StatusBadRequest, "format must be json or binary, got %q", q.Get("format"))
 		return
 	}
-	var (
-		id   uint64
-		ch   <-chan *watchEvent
-		last *planarcert.SessionReport
-		ok2  bool
-	)
-	if r.URL.Query().Get("replay") == "last" {
-		id, ch, last, ok2 = ms.watchReplay()
-	} else {
-		id, ch, ok2 = ms.watch()
+	var sub uint64
+	if v := q.Get("sub"); binary && v != "" {
+		var err error
+		if sub, err = strconv.ParseUint(v, 10, 64); err != nil || sub == 0 {
+			writeError(w, http.StatusBadRequest, "bad subscription %q", v)
+			return
+		}
 	}
-	if !ok2 {
+	id, hello, replay, ch, ok := ms.watch(binary, sub, q.Get("replay") == "last")
+	if !ok {
 		writeError(w, http.StatusGone, "session %q is closed", ms.name)
 		return
 	}
 	defer ms.unwatch(id)
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
-	flusher.Flush() // ship the headers so clients unblock before the first report
-
-	if last != nil {
-		if _, err := w.Write(encodeEventJSON(last)); err != nil {
+	if binary {
+		frame, err := wire.EncodeHello(hello)
+		if err != nil || !s.writeWatch(w, frame, binary) {
 			return
 		}
-		flusher.Flush()
 	}
+	for _, ev := range replay {
+		if !s.writeWatch(w, ev.bytes(binary), binary) {
+			return
+		}
+		if binary {
+			s.met.watchReplayed.Add(1)
+		}
+	}
+	flusher.Flush() // ships the headers even when nothing was replayed
 
 	for {
 		select {
@@ -1031,15 +1058,28 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			if !open {
 				return // session deleted
 			}
-			// ev.json is always set here: broadcast encodes it under
-			// watchMu whenever a JSON watcher is registered, and this
-			// watcher registered before the event was fanned out.
-			if _, err := w.Write(ev.json); err != nil {
+			// broadcast delivers only events encoded in this format.
+			if !s.writeWatch(w, ev.bytes(binary), binary) {
 				return
 			}
 			flusher.Flush()
 		}
 	}
+}
+
+// writeWatch writes one hello or event to a watch stream, skipping an
+// event whose encoding failed. It reports false once the client is gone.
+func (s *Server) writeWatch(w http.ResponseWriter, b []byte, binary bool) bool {
+	if b == nil {
+		return true
+	}
+	if _, err := w.Write(b); err != nil {
+		return false
+	}
+	if binary {
+		s.met.wireFrames.Add(1)
+	}
+	return true
 }
 
 // sortStatuses orders a listing by name for a deterministic API.

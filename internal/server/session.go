@@ -25,8 +25,12 @@ import (
 //     (queue, flush, verify, snapshot). Holding it across a flush is
 //     the point: batches from concurrent clients are absorbed one at a
 //     time, in arrival order.
-//   - watchMu guards only the watcher registry, so attaching or
-//     detaching a watch stream never waits behind a long re-prove.
+//   - watchMu guards the watch state: the watcher registry, the newest
+//     event, the replay ring and the subscription cursors. Attaching,
+//     acknowledging and detaching a watch take only watchMu, so they
+//     never wait behind a long re-prove. broadcast takes watchMu inside
+//     mu (the lock order is mu, then watchMu), so watchers receive
+//     events in generation order.
 type session struct {
 	name    string
 	scheme  planarcert.SchemeName // scheme requested at creation
@@ -72,16 +76,17 @@ type session struct {
 	nextWatch uint64
 	closed    bool
 	watchBuf  int
-	// Version-acknowledged subscription state (all under watchMu).
-	// lastVersion is the version of the newest broadcast event (the
-	// session generation — strictly increasing across broadcasts); ring
-	// retains the last ringCap events for replay-after-reconnect; subs
-	// tracks each binary subscription's last ACKed version.
-	lastVersion uint64
-	ring        []*watchEvent
-	ringCap     int
-	subs        map[uint64]*subAck
-	nextSub     uint64
+	// Version-acknowledged subscription state (all under watchMu). last
+	// is the newest broadcast event, seeded from the session's last
+	// report so that a fresh session has a baseline; its version is the
+	// session generation and never decreases. ring retains the last
+	// ringCap distinct versions, oldest first, for replay-after-reconnect;
+	// subs maps each binary subscription to its last ACKed version.
+	last    *watchEvent
+	ring    []*watchEvent
+	ringCap int
+	subs    map[uint64]uint64
+	nextSub uint64
 
 	// broadcastHook feeds delivery/drop counts to the server's metrics;
 	// set once at construction (never mutated afterwards, so it needs no
@@ -92,8 +97,8 @@ type session struct {
 // watchEvent is one broadcast report, marshaled ONCE per format and
 // fanned out as bytes to every watcher (the per-watcher re-marshal this
 // replaces was the watch path's dominant cost at high fan-out). json
-// and bin are filled lazily: only the formats with a live watcher (or,
-// for bin, a later replay) pay for encoding.
+// and bin are filled lazily under watchMu: only the formats with a live
+// watcher or a later replay pay for encoding.
 type watchEvent struct {
 	version uint64
 	rep     *planarcert.SessionReport
@@ -105,12 +110,6 @@ type watchEvent struct {
 type watcher struct {
 	ch     chan *watchEvent
 	binary bool
-}
-
-// subAck is the server-side cursor of one version-acknowledged
-// subscription.
-type subAck struct {
-	acked uint64
 }
 
 // maxSubscriptions bounds the per-session subscription map; past it the
@@ -129,10 +128,10 @@ func newSession(name string, scheme planarcert.SchemeName, s *planarcert.Session
 		s:        s,
 		watchers: make(map[uint64]*watcher),
 		watchBuf: watchBuf,
+		last:     &watchEvent{version: s.Generation(), rep: s.Last()},
 		ringCap:  ringCap,
-		subs:     make(map[uint64]*subAck),
+		subs:     make(map[uint64]uint64),
 	}
-	ms.lastVersion = s.Generation()
 	ms.touch()
 	return ms
 }
@@ -273,23 +272,31 @@ func (ms *session) writeSnapshotLocked() error {
 	return nil
 }
 
-// flush absorbs the whole pending log as one batch and broadcasts the
-// report to every watcher. The broadcast happens while ms.mu is still
-// held (it is non-blocking, so this is cheap) so that watchers receive
-// reports in generation order even when applies race. The returned
+// absorb applies updates together with the whole pending log as one
+// batch, makes the batch durable and broadcasts the report to every
+// watcher. Holding ms.mu across the whole batch means two concurrent
+// calls cannot interleave their updates, and the broadcast
+// (non-blocking, so cheap) runs under it so watchers receive reports
+// in generation order. With no updates of its own the call is a flush:
+// a client checkpoint, which also forces a snapshot. The returned
 // duration is the time spent inside the session (repair/re-prove +
 // verification), excluding lock wait — the wait itself lands on sp's
 // queue-wait child. sp may be nil (tracing off).
-func (ms *session) flush(sp *obs.Span) (*planarcert.SessionReport, time.Duration, error) {
+func (ms *session) absorb(sp *obs.Span, updates []planarcert.Update) (*planarcert.SessionReport, time.Duration, error) {
 	qw := sp.Child(obs.SpanQueueWait)
 	ms.mu.Lock()
 	qw.End()
 	defer ms.mu.Unlock()
-	batch := ms.pendingLog
+	// The WAL record must carry the full absorbed batch, including
+	// updates other clients queued earlier.
+	batch := updates
+	if len(ms.pendingLog) > 0 {
+		batch = append(ms.pendingLog, updates...)
+	}
 	ms.pendingLog = nil
 	ms.s.Trace(sp)
 	start := time.Now()
-	rep, err := ms.s.Flush()
+	rep, err := ms.s.Apply(updates)
 	elapsed := time.Since(start)
 	// Success absorbed the log; failure discarded it (Session rejects
 	// whole batches) — either way nothing stays pending.
@@ -300,9 +307,9 @@ func (ms *session) flush(sp *obs.Span) (*planarcert.SessionReport, time.Duration
 	if err := ms.persistLoggedBatch(sp, batch); err != nil {
 		return nil, elapsed, &persistError{err}
 	}
-	if ms.store != nil {
-		// An explicit flush is a client checkpoint: force a snapshot so
-		// the durable state converges even on a mostly-queueing workload.
+	if len(updates) == 0 && ms.store != nil {
+		// Force a snapshot at a checkpoint so the durable state
+		// converges even on a mostly-queueing workload.
 		_ = ms.writeSnapshotLocked()
 	}
 	ms.tuneThresholdLocked(rep, elapsed)
@@ -320,38 +327,6 @@ func (ms *session) persistLoggedBatch(sp *obs.Span, batch []planarcert.Update) e
 	}
 	pp.End()
 	return err
-}
-
-// apply queues the batch and flushes it as one serialized operation, so
-// two concurrent apply calls cannot interleave their updates into one
-// merged batch. Like flush, the broadcast runs under ms.mu to preserve
-// generation order for watchers.
-func (ms *session) apply(updates []planarcert.Update, sp *obs.Span) (*planarcert.SessionReport, time.Duration, error) {
-	qw := sp.Child(obs.SpanQueueWait)
-	ms.mu.Lock()
-	qw.End()
-	defer ms.mu.Unlock()
-	// Apply absorbs the whole pending log plus this request's updates as
-	// one batch; the WAL record must carry all of it.
-	batch := updates
-	if len(ms.pendingLog) > 0 {
-		batch = append(append([]planarcert.Update{}, ms.pendingLog...), updates...)
-	}
-	ms.pendingLog = nil
-	ms.s.Trace(sp)
-	start := time.Now()
-	rep, err := ms.s.Apply(updates)
-	elapsed := time.Since(start)
-	ms.pending = 0
-	if err != nil {
-		return nil, elapsed, err
-	}
-	if err := ms.persistLoggedBatch(sp, batch); err != nil {
-		return nil, elapsed, &persistError{err}
-	}
-	ms.tuneThresholdLocked(rep, elapsed)
-	ms.broadcast(rep)
-	return rep, elapsed, nil
 }
 
 // persistError marks a batch that was applied in memory but could not
@@ -413,105 +388,52 @@ func (ms *session) status() *SessionStatus {
 	return st
 }
 
-// watch registers a new JSON watcher and returns its id and channel.
-// The channel is closed when the session is deleted. ok is false if the
-// session is already closed.
-func (ms *session) watch() (id uint64, ch <-chan *watchEvent, ok bool) {
+// watch attaches a watch stream and returns its watcher id, the hello
+// of a binary stream, the events to replay before live delivery, and
+// the live channel, which is closed when the session is deleted. ok is
+// false if the session is already closed.
+//
+// It takes only watchMu, never ms.mu, so attaching never waits behind a
+// long re-prove. broadcast advances ms.last and fans out under watchMu
+// too, so the replay and the channel are gap-free: every event after
+// the replay arrives on the channel, and none arrives twice.
+//
+// A binary stream is a version-acknowledged subscription. sub == 0
+// mints a fresh one; otherwise the stream resumes sub, replaying the
+// ring events after its last ACKed version. When the ring no longer
+// covers the gap, or sub is unknown (evicted, or from before a
+// restart), hello.Reset tells the client to re-sync full state and only
+// the latest event is replayed. replayLast replays the latest event to
+// a fresh stream. A JSON stream shares that replay selection but mints
+// no subscription (so it cannot evict binary ones) and ignores sub.
+// The replayed events carry the stream format's encoding.
+func (ms *session) watch(binary bool, sub uint64, replayLast bool) (id uint64, hello wire.Hello, replay []*watchEvent, ch <-chan *watchEvent, ok bool) {
 	ms.watchMu.Lock()
 	defer ms.watchMu.Unlock()
-	w, ok := ms.registerLocked(false)
-	if !ok {
-		return 0, nil, false
-	}
-	return ms.nextWatch, w.ch, true
-}
-
-// registerLocked adds a watcher under watchMu.
-func (ms *session) registerLocked(binary bool) (*watcher, bool) {
 	if ms.closed {
-		return nil, false
+		return 0, hello, nil, nil, false
 	}
 	w := &watcher{ch: make(chan *watchEvent, ms.watchBuf), binary: binary}
 	ms.nextWatch++
 	ms.watchers[ms.nextWatch] = w
-	return w, true
-}
 
-// watchReplay snapshots the last report and registers a watcher in one
-// ms.mu critical section: broadcasts also run under ms.mu, so no flush
-// can slip between the snapshot and the registration — the replayed
-// report is never duplicated on (or reordered against) the channel.
-func (ms *session) watchReplay() (id uint64, ch <-chan *watchEvent, last *planarcert.SessionReport, ok bool) {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	last = ms.s.Last()
-	id, ch, ok = ms.watch()
-	return id, ch, last, ok
-}
-
-// watchBinary attaches a binary watch stream as a version-acknowledged
-// subscription. sub == 0 mints a fresh subscription; otherwise the
-// stream resumes the existing one, replaying the ring events after its
-// last ACKed version. When the ring no longer covers the gap (or the
-// subscription is unknown/evicted), hello.Reset tells the client to
-// re-sync full state and only the latest event is replayed. replayLast
-// forces the latest event into the replay of a fresh subscription
-// (?replay=last parity with the JSON stream). replayed events have
-// their binary encoding materialized before they are returned.
-func (ms *session) watchBinary(sub uint64, replayLast bool) (id uint64, hello wire.Hello, replay []*watchEvent, ch <-chan *watchEvent, ok bool) {
-	// ms.mu before watchMu (the broadcast ordering): holding it across
-	// the registration keeps the baseline snapshot and the channel
-	// gap-free, exactly like watchReplay on the JSON path.
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	last := ms.s.Last()
-	ms.watchMu.Lock()
-	defer ms.watchMu.Unlock()
-	w, ok := ms.registerLocked(true)
-	if !ok {
-		return 0, wire.Hello{}, nil, nil, false
-	}
-	id = ms.nextWatch
-
-	requested := sub
-	acked := ms.lastVersion
-	known := false
-	if requested != 0 {
-		if sa := ms.subs[requested]; sa != nil {
-			acked, known = sa.acked, true
-		}
-	}
-	if !known {
-		// Fresh subscription (or an evicted one the server no longer
-		// remembers): mint a new identity cursored at the current version.
-		sub = ms.mintSubLocked()
-	}
-	hello = wire.Hello{Subscription: sub, Version: ms.lastVersion, ResumeFrom: acked}
-
-	switch {
-	case known && acked < ms.lastVersion:
+	hello = wire.Hello{Subscription: sub, Version: ms.last.version, ResumeFrom: ms.last.version}
+	if acked, known := ms.subs[sub]; binary && known {
+		hello.ResumeFrom = acked
 		replay, hello.Reset = ms.ringAfterLocked(acked)
-	case !known && requested != 0:
-		// A resume the server cannot honor: the client must re-sync full
-		// state; hand it the latest event as its new baseline.
-		hello.Reset = true
-		if ev := ms.ringLatestLocked(); ev != nil {
-			replay = []*watchEvent{ev}
+	} else {
+		if binary {
+			hello.Subscription = ms.mintSubLocked()
+			hello.Reset = sub != 0
 		}
-	case !known && replayLast:
-		if ev := ms.ringLatestLocked(); ev != nil {
-			replay = []*watchEvent{ev}
+		if replayLast || hello.Reset {
+			replay = []*watchEvent{ms.last}
 		}
-	}
-	if len(replay) == 0 && (hello.Reset || (!known && replayLast)) && last != nil {
-		// Nothing retained (fresh session, or replay disabled): fall back
-		// to the session's own last report as the baseline event.
-		replay = []*watchEvent{{version: ms.lastVersion, rep: last}}
 	}
 	for _, ev := range replay {
-		ms.ensureBinLocked(ev)
+		ev.encode(binary)
 	}
-	return id, hello, replay, w.ch, true
+	return ms.nextWatch, hello, replay, w.ch, true
 }
 
 // mintSubLocked allocates a new subscription id, evicting the oldest
@@ -527,7 +449,7 @@ func (ms *session) mintSubLocked() uint64 {
 		delete(ms.subs, oldest)
 	}
 	ms.nextSub++
-	ms.subs[ms.nextSub] = &subAck{acked: ms.lastVersion}
+	ms.subs[ms.nextSub] = ms.last.version
 	return ms.nextSub
 }
 
@@ -535,7 +457,7 @@ func (ms *session) mintSubLocked() uint64 {
 // whether the ring failed to cover the gap (reset: the client missed
 // events the ring already evicted).
 func (ms *session) ringAfterLocked(acked uint64) (replay []*watchEvent, reset bool) {
-	if latest := ms.ringLatestLocked(); latest != nil && acked >= latest.version {
+	if acked >= ms.last.version {
 		return nil, false // fully caught up: nothing missed, no reset
 	}
 	for _, ev := range ms.ring {
@@ -543,29 +465,14 @@ func (ms *session) ringAfterLocked(acked uint64) (replay []*watchEvent, reset bo
 			replay = append(replay, ev)
 		}
 	}
-	if len(replay) == 0 {
-		if ev := ms.ringLatestLocked(); ev != nil {
-			return []*watchEvent{ev}, true
-		}
-		return nil, true
-	}
 	// Covered iff the oldest replayed event is the one right after the
-	// cursor; generations advance by exactly one per broadcast. An
+	// cursor; generations advance by exactly one per stored event. An
 	// uncovered gap forces a full re-sync, and since every event carries
 	// a complete report, only the latest one is worth replaying then.
-	if replay[0].version != acked+1 {
-		return []*watchEvent{replay[len(replay)-1]}, true
+	if len(replay) == 0 || replay[0].version != acked+1 {
+		return []*watchEvent{ms.last}, true
 	}
 	return replay, false
-}
-
-// ringLatestLocked returns the newest retained event (nil when the ring
-// is empty or disabled).
-func (ms *session) ringLatestLocked() *watchEvent {
-	if len(ms.ring) == 0 {
-		return nil
-	}
-	return ms.ring[len(ms.ring)-1]
 }
 
 // ack advances a subscription's cursor; it reports whether the
@@ -573,14 +480,11 @@ func (ms *session) ringLatestLocked() *watchEvent {
 func (ms *session) ack(sub, version uint64) bool {
 	ms.watchMu.Lock()
 	defer ms.watchMu.Unlock()
-	sa := ms.subs[sub]
-	if sa == nil {
-		return false
+	acked, ok := ms.subs[sub]
+	if ok && version > acked {
+		ms.subs[sub] = version
 	}
-	if version > sa.acked {
-		sa.acked = version
-	}
-	return true
+	return ok
 }
 
 // nack rewinds a subscription's cursor to just before the rejected
@@ -588,37 +492,38 @@ func (ms *session) ack(sub, version uint64) bool {
 func (ms *session) nack(sub, version uint64) bool {
 	ms.watchMu.Lock()
 	defer ms.watchMu.Unlock()
-	sa := ms.subs[sub]
-	if sa == nil {
-		return false
+	acked, ok := ms.subs[sub]
+	if ok && version > 0 && version-1 < acked {
+		ms.subs[sub] = version - 1
 	}
-	if version > 0 && version-1 < sa.acked {
-		sa.acked = version - 1
-	}
-	return true
+	return ok
 }
 
-// encodeEventJSON marshals one report exactly the way the streaming
-// json.Encoder used to (SetEscapeHTML(false) + trailing newline), so
-// the single-marshal fan-out is byte-identical to the old stream.
-func encodeEventJSON(rep *planarcert.SessionReport) []byte {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(rep); err != nil {
-		return nil
+// encode materializes ev's encoding in one stream format unless it is
+// already there; the caller holds watchMu. An encode failure leaves it
+// nil, and streams of that format skip the event.
+func (ev *watchEvent) encode(binary bool) {
+	switch {
+	case binary && ev.bin == nil:
+		ev.bin, _ = planarcert.EncodeEventFrame(ev.version, ev.rep)
+	case !binary && ev.json == nil:
+		// HTML escaping off plus the trailing newline is the NDJSON
+		// line shape of every JSON body the server writes.
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetEscapeHTML(false)
+		if enc.Encode(ev.rep) == nil {
+			ev.json = buf.Bytes()
+		}
 	}
-	return buf.Bytes()
 }
 
-// ensureBinLocked materializes ev's binary frame encoding (nil on an
-// encode failure; the watch loop skips such events for binary
-// watchers).
-func (ms *session) ensureBinLocked(ev *watchEvent) {
-	if ev.bin != nil {
-		return
+// bytes returns ev's encoding in one stream format.
+func (ev *watchEvent) bytes(binary bool) []byte {
+	if binary {
+		return ev.bin
 	}
-	ev.bin, _ = planarcert.EncodeEventFrame(ev.version, ev.rep)
+	return ev.json
 }
 
 // broadcast fans one report out to every watcher without blocking: a
@@ -626,36 +531,33 @@ func (ms *session) ensureBinLocked(ev *watchEvent) {
 // via the returned drop count) rather than stalling the flush path.
 // The report is marshaled at most ONCE per wire format — watchers
 // receive pre-encoded bytes — and retained in the replay ring for
-// reconnecting subscriptions.
+// reconnecting subscriptions. An empty flush re-reports the current
+// version: live watchers still receive it, but the ring keeps its
+// versions distinct, so a resume replays each version once.
 func (ms *session) broadcast(rep *planarcert.SessionReport) (delivered, dropped int) {
 	ms.watchMu.Lock()
 	defer ms.watchMu.Unlock()
 	ev := &watchEvent{version: rep.Generation, rep: rep}
-	ms.lastVersion = ev.version
-	if ms.ringCap > 0 {
+	if ms.ringCap > 0 && ev.version > ms.last.version {
 		if len(ms.ring) >= ms.ringCap {
-			copy(ms.ring, ms.ring[1:])
-			ms.ring[len(ms.ring)-1] = ev
-		} else {
-			ms.ring = append(ms.ring, ev)
+			ms.ring = append(ms.ring[:0], ms.ring[1:]...)
 		}
+		ms.ring = append(ms.ring, ev)
 	}
+	ms.last = ev
 	var needJSON, needBin bool
 	for _, w := range ms.watchers {
-		if w.binary {
-			needBin = true
-		} else {
-			needJSON = true
-		}
+		needBin = needBin || w.binary
+		needJSON = needJSON || !w.binary
 	}
 	if needJSON {
-		ev.json = encodeEventJSON(rep)
+		ev.encode(false)
 	}
 	if needBin {
-		ms.ensureBinLocked(ev)
+		ev.encode(true)
 	}
 	for _, w := range ms.watchers {
-		if w.binary && ev.bin == nil {
+		if ev.bytes(w.binary) == nil {
 			dropped++
 			continue
 		}

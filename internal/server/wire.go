@@ -4,17 +4,16 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 
 	planarcert "github.com/planarcert/planarcert"
-	"github.com/planarcert/planarcert/internal/obs"
 	"github.com/planarcert/planarcert/internal/wire"
 )
 
-// ndjsonTypes are the Content-Type values routed to the NDJSON update
-// parser; the empty string keeps bare curl/legacy clients working.
+// acceptPostTypes is the Accept-Post hint of a 415 from POST .../updates:
+// the NDJSON media types (a request with no Content-Type is NDJSON too,
+// which keeps bare curl clients working) and the binary frame type.
 const acceptPostTypes = "application/x-ndjson, application/json, " + wire.ContentType
 
 // contentTypeBase returns the media type without parameters, lowercased
@@ -68,62 +67,40 @@ func readAllInto(buf []byte, r io.Reader) ([]byte, error) {
 	}
 }
 
-// writeAckFrame responds with a single batch-ack frame. Encode failures
-// (out-of-range values) fall back to the JSON error envelope.
-func (s *Server) writeAckFrame(w http.ResponseWriter, code int, ack *planarcert.WireBatchAck) {
-	frame, err := planarcert.EncodeBatchAckFrame(ack)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encode ack frame: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", wire.ContentType)
-	w.WriteHeader(code)
-	_, _ = w.Write(frame)
-	s.met.wireFrames.Add(1)
-}
-
-// handleUpdatesBinary is the frame-protocol branch of handleUpdates:
-// the body is one update-batch frame (the frame's mode field replaces
-// the ?mode= query parameter), decoded zero-copy into pooled scratch,
-// and the ack is a batch-ack frame. Errors keep the JSON envelope —
-// only success responses are binary.
-func (s *Server) handleUpdatesBinary(w http.ResponseWriter, r *http.Request, ms *session) {
-	sc := wireScratchPool.Get().(*wireScratch)
-	defer wireScratchPool.Put(sc)
+// decodeFrame reads a frame updates body: one update-batch frame, whose
+// mode field replaces the ?mode= query parameter, decoded zero-copy into
+// sc. Errors keep the JSON envelope. On failure it has written the error
+// response and ok is false.
+func (s *Server) decodeFrame(w http.ResponseWriter, r *http.Request, sc *wireScratch) (updates []planarcert.Update, queue, ok bool) {
 	var err error
 	sc.body, err = readAllInto(sc.body, http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "%v", err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
+		bodyError(w, err)
+		return nil, false, false
 	}
 	kind, payload, n, err := wire.ParseFrame(sc.body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad frame: %v", err)
-		return
+		return nil, false, false
 	}
 	if kind != wire.KindUpdateBatch || n != len(sc.body) {
 		writeError(w, http.StatusBadRequest,
 			"body must be a single update-batch frame (got kind %s, %d trailing bytes)", kind, len(sc.body)-n)
-		return
+		return nil, false, false
 	}
 	mode, wups, err := wire.DecodeUpdateBatch(payload, sc.ws)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad frame: %v", err)
-		return
+		return nil, false, false
 	}
 	if len(wups) > s.cfg.MaxBatchUpdates {
 		writeError(w, http.StatusRequestEntityTooLarge, "batch exceeds %d updates", s.cfg.MaxBatchUpdates)
-		return
+		return nil, false, false
 	}
 	if cap(sc.ups) < len(wups) {
 		sc.ups = make([]planarcert.Update, len(wups))
 	}
-	updates := sc.ups[:len(wups)]
+	updates = sc.ups[:len(wups)]
 	for i, u := range wups {
 		switch u.Op {
 		case wire.OpAddEdge:
@@ -135,96 +112,18 @@ func (s *Server) handleUpdatesBinary(w http.ResponseWriter, r *http.Request, ms 
 		}
 	}
 	s.met.wireBatches.Add(1)
-
-	ms.touch()
-	if mode == wire.ModeQueue {
-		pending := ms.queue(updates)
-		s.writeAckFrame(w, http.StatusAccepted, &planarcert.WireBatchAck{Queued: len(updates), Pending: pending})
-		return
-	}
-
-	sp := s.tracer.Start(ms.name, obs.SpanBatch)
-	if !s.acquireExec(ms.execClaim, sp, r.Context().Done()) {
-		sp.SetStr("error", "admission timeout")
-		sp.End()
-		writeError(w, http.StatusServiceUnavailable, "admission queue timed out (class %q)", ms.qos)
-		return
-	}
-	rep, elapsed, err := ms.apply(updates, sp)
-	ms.execClaim.Release()
-	if err != nil {
-		sp.SetStr("error", err.Error())
-		sp.End()
-		s.batchError(w, err)
-		return
-	}
-	sp.End()
-	s.recordBatch(sp, ms, rep, elapsed)
-	s.writeAckFrame(w, http.StatusOK, &planarcert.WireBatchAck{Queued: len(updates), Elapsed: elapsed, Report: rep})
+	return updates, mode == wire.ModeQueue, true
 }
 
-// handleWatchBinary is the ?format=binary branch of handleWatch: a
-// hello frame naming the version-acknowledged subscription, replayed
-// event frames for the gap since the subscription's last ACKed version
-// (?sub= resumes one), then one event frame per flushed batch.
-func (s *Server) handleWatchBinary(w http.ResponseWriter, r *http.Request, ms *session, flusher http.Flusher) {
-	var sub uint64
-	if q := r.URL.Query().Get("sub"); q != "" {
-		v, err := strconv.ParseUint(q, 10, 64)
-		if err != nil || v == 0 {
-			writeError(w, http.StatusBadRequest, "bad subscription %q", q)
-			return
-		}
-		sub = v
-	}
-	id, hello, replay, ch, ok := ms.watchBinary(sub, r.URL.Query().Get("replay") == "last")
-	if !ok {
-		writeError(w, http.StatusGone, "session %q is closed", ms.name)
+// bodyError answers a failed request-body read: 413 past the body's
+// size cap, 400 otherwise.
+func bodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "%v", err)
 		return
 	}
-	defer ms.unwatch(id)
-
-	w.Header().Set("Content-Type", wire.ContentType)
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	helloFrame, err := wire.EncodeHello(hello)
-	if err != nil {
-		return
-	}
-	if _, err := w.Write(helloFrame); err != nil {
-		return
-	}
-	s.met.wireFrames.Add(1)
-	for _, ev := range replay {
-		if ev.bin == nil {
-			continue // encode failure; the client resyncs via Reset
-		}
-		if _, err := w.Write(ev.bin); err != nil {
-			return
-		}
-		s.met.wireFrames.Add(1)
-		s.met.watchReplayed.Add(1)
-	}
-	flusher.Flush()
-
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev, open := <-ch:
-			if !open {
-				return // session deleted
-			}
-			// ev.bin is always set here: broadcast materializes it under
-			// watchMu before fanning out to binary watchers (and drops the
-			// event for them when encoding fails).
-			if _, err := w.Write(ev.bin); err != nil {
-				return
-			}
-			s.met.wireFrames.Add(1)
-			flusher.Flush()
-		}
-	}
+	writeError(w, http.StatusBadRequest, "reading body: %v", err)
 }
 
 // handleWatchAck advances (ack) or rewinds (nack) a binary watch
@@ -245,7 +144,7 @@ func (s *Server) handleWatchAck(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<16))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: %v", err)
+		bodyError(w, err)
 		return
 	}
 	kind, payload, n, err := wire.ParseFrame(body)
@@ -266,7 +165,9 @@ func (s *Server) handleWatchAck(w http.ResponseWriter, r *http.Request) {
 		}
 		s.met.watchAcks.Add(1)
 	case wire.KindNack:
-		sub, version, reason, err := wire.DecodeNack(payload)
+		// The reason is for the client's own logs: the server keeps only
+		// the nack count.
+		sub, version, _, err := wire.DecodeNack(payload)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "bad nack frame: %v", err)
 			return
@@ -275,7 +176,6 @@ func (s *Server) handleWatchAck(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, "no subscription %d", sub)
 			return
 		}
-		_ = reason // surfaced only through the metric today
 		s.met.watchNacks.Add(1)
 	default:
 		writeError(w, http.StatusBadRequest, "body must be an ack or nack frame, got %s", kind)

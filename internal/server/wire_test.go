@@ -449,8 +449,8 @@ func TestBroadcastSingleMarshal(t *testing.T) {
 	ms := newTestSession(t, "fanout")
 	defer ms.close()
 
-	_, ch1, ok1 := ms.watch()
-	_, ch2, ok2 := ms.watch()
+	_, _, _, ch1, ok1 := ms.watch(false, 0, false)
+	_, _, _, ch2, ok2 := ms.watch(false, 0, false)
 	if !ok1 || !ok2 {
 		t.Fatal("watch failed")
 	}
@@ -470,9 +470,9 @@ func TestBroadcastSingleMarshal(t *testing.T) {
 	}
 
 	// With a binary watcher attached, one event carries both encodings.
-	id3, _, _, ch3, ok := ms.watchBinary(0, false)
+	id3, _, _, ch3, ok := ms.watch(true, 0, false)
 	if !ok {
-		t.Fatal("watchBinary failed")
+		t.Fatal("binary watch failed")
 	}
 	defer ms.unwatch(id3)
 	ms.broadcast(rep)
@@ -536,7 +536,7 @@ func TestSubscriptionEviction(t *testing.T) {
 func TestRingCoverage(t *testing.T) {
 	ms := newTestSession(t, "ring")
 	defer ms.close()
-	gen := ms.lastVersion
+	gen := ms.last.version
 	for i := 0; i < 12; i++ { // ringCap is 8; versions gen+1..gen+12
 		ms.broadcast(&planarcert.SessionReport{Generation: gen + uint64(i+1)})
 	}

@@ -30,21 +30,13 @@ type WireBatchAck struct {
 }
 
 // WireHello is the decoded opening frame of a binary watch stream: the
-// version-acknowledged subscription identity and how a resume was
-// honored.
-type WireHello struct {
-	// Subscription identifies the subscription; resume with ?sub= and
-	// acknowledge versions against it.
-	Subscription uint64
-	// Version is the session's latest event version at attach time.
-	Version uint64
-	// ResumeFrom is the version replay restarts after.
-	ResumeFrom uint64
-	// Reset reports that the server's replay ring no longer covered the
-	// gap: only the latest event is replayed and the client must re-sync
-	// full state (GET .../graph and .../certificates).
-	Reset bool
-}
+// version-acknowledged subscription identity (resume with ?sub= and
+// acknowledge versions against it), the session's latest event version
+// at attach time, the version replay restarts after, and Reset when the
+// server's replay ring no longer covered the gap, so only the latest
+// event is replayed and the client must re-sync full state (GET
+// .../graph and .../certificates).
+type WireHello = wire.Hello
 
 // WireEvent is one decoded watch event: a session report stamped with
 // its monotonically increasing version (the session generation).
@@ -247,12 +239,7 @@ func (s *WireScanner) Next() (*WireMessage, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &WireMessage{Hello: &WireHello{
-			Subscription: h.Subscription,
-			Version:      h.Version,
-			ResumeFrom:   h.ResumeFrom,
-			Reset:        h.Reset,
-		}}, nil
+		return &WireMessage{Hello: &h}, nil
 	case wire.KindEvent:
 		version, wr, err := wire.DecodeEvent(payload)
 		if err != nil {
