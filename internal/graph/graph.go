@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -195,16 +196,33 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// Clone returns a deep copy of g.
+// Clone returns a deep copy of g. The copy keeps every adjacency list in
+// order, so order-sensitive algorithms (the LR planarity DFS, and the
+// certificates built from its embedding) see the same graph.
 func (g *Graph) Clone() *Graph {
 	c := New(g.N())
 	for _, id := range g.ids {
 		c.MustAddNode(id)
 	}
-	for e := range g.edges {
-		c.MustAddEdge(e.U, e.V)
-	}
+	c.copyEdges(g)
 	return c
+}
+
+// copyEdges gives c, which has g's node count and no edges yet, g's edge
+// set and g's adjacency lists in order. The lists share one backing
+// array, each capped at its length so an append reallocates only that
+// list.
+func (c *Graph) copyEdges(g *Graph) {
+	slab := make([]int, 0, 2*len(g.edges))
+	for u, nbrs := range g.adj {
+		if len(nbrs) == 0 {
+			continue
+		}
+		start := len(slab)
+		slab = append(slab, nbrs...)
+		c.adj[u] = slab[start:len(slab):len(slab)]
+	}
+	c.edges = maps.Clone(g.edges)
 }
 
 // SortedNeighbors returns a sorted copy of node u's adjacency list.
@@ -227,25 +245,26 @@ func (g *Graph) RelabelIDs(ids []ID) (*Graph, error) {
 			return nil, err
 		}
 	}
-	for e := range g.edges {
-		c.MustAddEdge(e.U, e.V)
-	}
+	c.copyEdges(g)
 	return c, nil
 }
 
 // InducedSubgraph returns the subgraph induced by keep (indices into g),
-// preserving identifiers. The second return value maps old index -> new.
+// preserving identifiers. Each kept node's adjacency list keeps the kept
+// neighbors in g's order. The second return value maps old index -> new.
 func (g *Graph) InducedSubgraph(keep []int) (*Graph, map[int]int) {
 	sub := New(len(keep))
 	old2new := make(map[int]int, len(keep))
 	for _, u := range keep {
 		old2new[u] = sub.MustAddNode(g.ids[u])
 	}
-	for e := range g.edges {
-		nu, ok1 := old2new[e.U]
-		nv, ok2 := old2new[e.V]
-		if ok1 && ok2 {
-			sub.MustAddEdge(nu, nv)
+	for _, u := range keep {
+		nu := old2new[u]
+		for _, v := range g.adj[u] {
+			if nv, ok := old2new[v]; ok {
+				sub.adj[nu] = append(sub.adj[nu], nv)
+				sub.edges[NewEdge(nu, nv)] = true
+			}
 		}
 	}
 	return sub, old2new

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -330,5 +331,52 @@ func TestStringer(t *testing.T) {
 	g.MustAddEdge(0, 1)
 	if got := g.String(); got != "graph(n=2, m=1)" {
 		t.Fatalf("String() = %q", got)
+	}
+}
+
+// TestCopiesKeepAdjacencyOrder checks that Clone, RelabelIDs and
+// InducedSubgraph reproduce every adjacency list in order: the LR
+// planarity DFS, and so every certificate, depends on that order.
+func TestCopiesKeepAdjacencyOrder(t *testing.T) {
+	g := NewWithNodes(6)
+	for _, e := range [][2]int{{0, 3}, {4, 0}, {0, 1}, {2, 1}, {5, 0}, {3, 2}, {1, 5}, {4, 2}} {
+		g.MustAddEdge(e[0], e[1])
+	}
+	same := func(name string, c *Graph) {
+		t.Helper()
+		for u := 0; u < g.N(); u++ {
+			if !slices.Equal(c.Neighbors(u), g.Neighbors(u)) {
+				t.Fatalf("%s: neighbors of %d = %v, want %v", name, u, c.Neighbors(u), g.Neighbors(u))
+			}
+		}
+	}
+	for i := 0; i < 20; i++ {
+		same("Clone", g.Clone())
+		r, err := g.RelabelIDs([]ID{60, 50, 40, 30, 20, 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("RelabelIDs", r)
+	}
+	c := g.Clone()
+	c.MustAddEdge(3, 4)
+	if g.HasEdge(3, 4) || len(g.Neighbors(3)) != 2 || len(g.Neighbors(4)) != 2 {
+		t.Fatal("adding an edge to a clone changed the original")
+	}
+
+	sub, old2new := g.InducedSubgraph([]int{5, 0, 1, 2})
+	for _, u := range []int{5, 0, 1, 2} {
+		var want []int
+		for _, v := range g.Neighbors(u) {
+			if nv, ok := old2new[v]; ok {
+				want = append(want, nv)
+			}
+		}
+		if got := sub.Neighbors(old2new[u]); !slices.Equal(got, want) {
+			t.Fatalf("InducedSubgraph: neighbors of %d = %v, want %v", u, got, want)
+		}
+	}
+	if sub.M() != 4 {
+		t.Fatalf("InducedSubgraph: m = %d, want 4", sub.M())
 	}
 }
