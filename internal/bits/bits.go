@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	mathbits "math/bits"
 )
 
 // ErrOutOfRange is returned when a value does not fit the declared width.
@@ -71,10 +72,25 @@ func (w *Writer) WriteUint(v uint64, width int) error {
 	if width < 64 && v>>uint(width) != 0 {
 		return fmt.Errorf("%w: %d does not fit in %d bits", ErrOutOfRange, v, width)
 	}
-	for i := width - 1; i >= 0; i-- {
-		w.WriteBit(v>>uint(i)&1 == 1)
-	}
+	w.put(v, width)
 	return nil
+}
+
+// put appends the low width bits of v, MSB first, filling the current
+// partial byte and then up to eight bits per step: the certificate
+// encoders write Θ(log n)-bit fields, and this is their inner loop.
+func (w *Writer) put(v uint64, width int) {
+	for width > 0 {
+		free := 8 - w.nbit&7
+		if free == 8 {
+			w.buf = append(w.buf, 0)
+		}
+		take := min(free, width)
+		width -= take
+		chunk := byte(v >> uint(width) & (1<<uint(take) - 1))
+		w.buf[len(w.buf)-1] |= chunk << uint(free-take)
+		w.nbit += take
+	}
 }
 
 // WriteInt appends a signed value shifted to unsigned by the caller-known
@@ -90,10 +106,16 @@ func (w *Writer) WriteInt(v, lo int64, width int) error {
 // bits of payload. Cost: 6 + bitlen(v) bits — O(log v).
 func (w *Writer) WriteVar(v uint64) error {
 	n := bitLen(v)
-	if err := w.WriteUint(uint64(n), 6); err != nil {
-		return err
+	if n > 63 {
+		return fmt.Errorf("%w: %d does not fit in 6 bits", ErrOutOfRange, n)
 	}
-	return w.WriteUint(v, n)
+	if n <= 58 { // prefix and payload in one field
+		w.put(uint64(n)<<uint(n)|v, 6+n)
+		return nil
+	}
+	w.put(uint64(n), 6)
+	w.put(v, n)
+	return nil
 }
 
 // WriteVarInt appends a signed value as a zigzag-mapped WriteVar, so
@@ -211,14 +233,7 @@ func (r *Reader) ReadVarInt() (int64, error) {
 }
 
 // bitLen returns the minimal number of bits to represent v (0 -> 0).
-func bitLen(v uint64) int {
-	n := 0
-	for v != 0 {
-		n++
-		v >>= 1
-	}
-	return n
-}
+func bitLen(v uint64) int { return mathbits.Len64(v) }
 
 // WidthFor returns the number of bits needed to represent values in
 // [0, maxVal] — the fixed width both prover and verifier derive from a

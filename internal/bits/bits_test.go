@@ -198,3 +198,70 @@ func TestLenCountsBits(t *testing.T) {
 		t.Fatalf("Size = %d", c.Size())
 	}
 }
+
+// putBitwise is the reference encoder: v's low width bits, MSB first,
+// one WriteBit at a time.
+func putBitwise(w *Writer, v uint64, width int) {
+	for i := width - 1; i >= 0; i-- {
+		w.WriteBit(v>>uint(i)&1 == 1)
+	}
+}
+
+// TestWriterMatchesBitwise checks WriteUint and WriteVar against
+// bit-at-a-time writes at every start offset 0-7 and every width 0-64,
+// with a trailing write so the partial-byte state is checked too.
+func TestWriterMatchesBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	values := func(width int) []uint64 {
+		if width == 0 {
+			return []uint64{0}
+		}
+		top := ^uint64(0) >> uint(64-width)
+		return []uint64{0, 1, top, top >> 1, 1 << uint(width-1), rng.Uint64() & top, rng.Uint64() & top}
+	}
+	same := func(what string, off, width int, v uint64, got, want *Writer) {
+		t.Helper()
+		if got.Len() != want.Len() || string(got.Raw()) != string(want.Raw()) {
+			t.Fatalf("%s(%#x) width %d at offset %d: %d bits %x, bitwise gives %d bits %x",
+				what, v, width, off, got.Len(), got.Raw(), want.Len(), want.Raw())
+		}
+	}
+	for off := 0; off < 8; off++ {
+		prefix := rng.Uint64() & (1<<uint(off) - 1)
+		for width := 0; width <= 64; width++ {
+			for _, v := range values(width) {
+				var got, want Writer
+				putBitwise(&got, prefix, off)
+				putBitwise(&want, prefix, off)
+				if err := got.WriteUint(v, width); err != nil {
+					t.Fatalf("WriteUint(%#x, %d): %v", v, width, err)
+				}
+				putBitwise(&want, v, width)
+				putBitwise(&got, 0x5, 3)
+				putBitwise(&want, 0x5, 3)
+				same("WriteUint", off, width, v, &got, &want)
+
+				got.Reset()
+				want.Reset()
+				putBitwise(&got, prefix, off)
+				putBitwise(&want, prefix, off)
+				n := bitLen(v)
+				err := got.WriteVar(v)
+				if n == 64 {
+					if !errors.Is(err, ErrOutOfRange) || got.Len() != off {
+						t.Fatalf("WriteVar(%#x): err %v, %d bits written", v, err, got.Len()-off)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("WriteVar(%#x): %v", v, err)
+				}
+				putBitwise(&want, uint64(n), 6)
+				putBitwise(&want, v, n)
+				putBitwise(&got, 0x5, 3)
+				putBitwise(&want, 0x5, 3)
+				same("WriteVar", off, width, v, &got, &want)
+			}
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/planarcert/planarcert/internal/graph"
 )
@@ -44,33 +43,37 @@ var ErrCrossing = errors.New("core: crossing edges, ordering is not a path-outer
 // {i, i+1} need not be included; they never cover anything strictly).
 // It runs a left-to-right sweep with a stack of open edges; if two edges
 // cross, it returns ErrCrossing — so it doubles as the witness validity
-// check. Complexity O((n + m) log m).
+// check. Complexity O(n + m): two counting passes order the edges by
+// start rank and then decreasing end rank, and a per-rank count of the
+// open edges ending there replaces scanning the stack at every rank.
 func ComputeIntervals(n int, edges []graph.Edge) ([]Interval, error) {
-	// startsAt[a] lists the edges {a,b}, sorted by decreasing b so that the
-	// innermost ends up on top of the stack.
-	startsAt := make([][]int, n+2)
-	for x, e := range edges {
+	for _, e := range edges {
 		if e.U < 1 || e.V > n || e.U >= e.V {
 			return nil, fmt.Errorf("core: edge %v outside rank range [1,%d]", e, n)
 		}
-		startsAt[e.U] = append(startsAt[e.U], x)
 	}
-	for a := range startsAt {
-		sort.Slice(startsAt[a], func(i, j int) bool {
-			return edges[startsAt[a][i]].V > edges[startsAt[a][j]].V
-		})
-	}
+	// starts[first[a] .. first[a+1]-1] lists the edges {a,b}, sorted by
+	// decreasing b so that the innermost ends up on top of the stack.
+	byEnd, _ := bucketByKey(edges, nil, n, func(e graph.Edge) int { return n - e.V })
+	starts, first := bucketByKey(edges, byEnd, n, func(e graph.Edge) int { return e.U })
 	intervals := make([]Interval, n+1)
 	stack := make([]int, 0, len(edges))
+	// open[b] counts the stacked edges that end at b.
+	open := make([]int, n+1)
 	for x := 1; x <= n; x++ {
 		// Close edges ending at x. Non-crossing families keep all of them
 		// on top of the stack.
 		for len(stack) > 0 && edges[stack[len(stack)-1]].V == x {
 			stack = stack[:len(stack)-1]
+			open[x]--
 		}
-		for _, ei := range stack {
-			if edges[ei].V <= x {
-				return nil, fmt.Errorf("%w: edge %v still open at %d", ErrCrossing, edges[ei], x)
+		// An edge ending at x still open is buried under one that crosses
+		// it (an edge ending before x would have failed at its own end).
+		if open[x] > 0 {
+			for _, ei := range stack {
+				if edges[ei].V <= x {
+					return nil, fmt.Errorf("%w: edge %v still open at %d", ErrCrossing, edges[ei], x)
+				}
 			}
 		}
 		// The innermost open edge strictly covers x (it was opened at some
@@ -82,19 +85,45 @@ func ComputeIntervals(n int, edges []graph.Edge) ([]Interval, error) {
 			intervals[x] = Sentinel(n)
 		}
 		// Open edges starting at x (outermost first).
-		for _, ei := range startsAt[x] {
+		for _, ei := range starts[first[x]:first[x+1]] {
 			// Nesting discipline: a new edge must close no later than the
 			// current innermost open edge.
 			if len(stack) > 0 && edges[ei].V > edges[stack[len(stack)-1]].V {
 				return nil, fmt.Errorf("%w: %v crosses %v", ErrCrossing, edges[ei], edges[stack[len(stack)-1]])
 			}
 			stack = append(stack, ei)
+			open[edges[ei].V]++
 		}
 	}
 	if len(stack) != 0 {
 		return nil, fmt.Errorf("%w: %d edges still open after sweep", ErrCrossing, len(stack))
 	}
 	return intervals, nil
+}
+
+// bucketByKey stably sorts edge indices by key, which must lie in
+// [0, n]: the indices in order, or 0..len(edges)-1 if order is nil. The
+// run of key k is out[start[k] : start[k+1]].
+func bucketByKey(edges []graph.Edge, order []int, n int, key func(graph.Edge) int) (out, start []int) {
+	start = make([]int, n+2)
+	for _, e := range edges {
+		start[key(e)+1]++
+	}
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	out = make([]int, len(edges))
+	next := slices.Clone(start)
+	for j := range edges {
+		i := j
+		if order != nil {
+			i = order[j]
+		}
+		k := key(edges[i])
+		out[next[k]] = i
+		next[k]++
+	}
+	return out, start
 }
 
 // CheckWitnessPairwise is the direct O(m^2) implementation of
@@ -184,7 +213,8 @@ func verifyPONode(v PONodeView, ns *poNodeScratch) error {
 	if x == n {
 		right = append(right, virtualHigh)
 	}
-	ns.left, ns.right = left, right // keep any growth for the next call
+	// Keep any growth for the next call.
+	ns.left, ns.right = left, right
 	slices.SortFunc(left, func(a, b PONeighbor) int { return cmp.Compare(b.Rank, a.Rank) })  // x-_0 > x-_1 > ...
 	slices.SortFunc(right, func(a, b PONeighbor) int { return cmp.Compare(a.Rank, b.Rank) }) // x+_0 < x+_1 < ...
 

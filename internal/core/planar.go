@@ -282,51 +282,97 @@ func (PlanarScheme) Prove(g *graph.Graph) (map[graph.ID]bits.Certificate, error)
 }
 
 // proveFromTransform builds the Theorem 1 certificates from a completed
-// transform (shared by the planarity and outerplanarity provers).
+// transform (shared by the planarity and outerplanarity provers). It
+// encodes straight from the certificate slab, in vertex order.
 func proveFromTransform(g *graph.Graph, tr *Transform) (map[graph.ID]bits.Certificate, error) {
-	objs, _, err := BuildPlanarCertObjects(g, tr)
+	slab, err := planarCertSlab(g, tr, nil)
 	if err != nil {
 		return nil, err
 	}
-	return EncodePlanarCerts(objs)
+	var enc certEncoder
+	for i := range slab {
+		if err := enc.add(slab[i].Tree.SelfID, &slab[i]); err != nil {
+			return nil, err
+		}
+	}
+	return enc.certificates(), nil
 }
 
 // BuildPlanarCertObjects computes the structured Theorem 1 certificates
-// for a completed transform, together with the holder map recording
-// which endpoint stores each edge's certificate (the degeneracy-order
-// assignment). The dynamic subsystem patches these objects in place and
-// re-encodes only the nodes whose certificates changed.
+// for a transform built by BuildTransform on g, together with the holder
+// map recording which endpoint stores each edge's certificate (the
+// degeneracy-order assignment). The dynamic subsystem patches these
+// objects in place and re-encodes only the nodes whose certificates
+// changed.
 func BuildPlanarCertObjects(g *graph.Graph, tr *Transform) (map[graph.ID]*PlanarCert, map[graph.Edge]graph.ID, error) {
-	n := g.N()
-	certs := make(map[graph.ID]*PlanarCert, n)
-	holders := make(map[graph.Edge]graph.ID, g.M())
-	for v := 0; v < n; v++ {
-		copies := tr.Copies[v]
-		size := uint64(copies[len(copies)-1]-copies[0]+2) / 2
-		certs[g.IDOf(v)] = &PlanarCert{
-			Tree: pls.TreeCert{
-				SelfID: g.IDOf(v),
-				RootID: g.IDOf(tr.Root),
-				N:      uint64(n),
-				Dist:   uint64(tr.Depth[v]),
-				Parent: g.IDOf(tr.Parent[v]),
-				Size:   size,
-			},
-		}
+	holders := make(map[graph.Edge]graph.ID, len(tr.edges))
+	slab, err := planarCertSlab(g, tr, holders)
+	if err != nil {
+		return nil, nil, err
 	}
+	certs := make(map[graph.ID]*PlanarCert, len(slab))
+	for i := range slab {
+		certs[slab[i].Tree.SelfID] = &slab[i]
+	}
+	return certs, holders, nil
+}
+
+// planarCertSlab builds every vertex's certificate, indexed by vertex,
+// and records each edge's holder in holders unless it is nil. The edge
+// certificates are carved from one slab too, and each vertex's Edges
+// slice is capped at its length, so appending to one never overwrites
+// another's.
+func planarCertSlab(g *graph.Graph, tr *Transform, holders map[graph.Edge]graph.ID) ([]PlanarCert, error) {
+	if tr.G != g {
+		return nil, fmt.Errorf("core: transform was built for another graph")
+	}
+	n := g.N()
 	// Degeneracy ordering: assign each edge certificate to the endpoint
 	// that comes earlier (which then has at most 5 certified edges).
 	order, degeneracy := g.DegeneracyOrder()
 	if degeneracy > MaxEdgeCerts {
-		return nil, nil, fmt.Errorf("%w: degeneracy %d exceeds 5 — not planar", pls.ErrNotInClass, degeneracy)
+		return nil, fmt.Errorf("%w: degeneracy %d exceeds 5 — not planar", pls.ErrNotInClass, degeneracy)
 	}
 	pos := make([]int, n)
 	for i, v := range order {
 		pos[v] = i
 	}
-	iv := func(r int) Interval { return tr.Intervals[r] }
-	for _, e := range g.Edges() {
-		var ec *EdgeCert
+	holderOf := func(e graph.Edge) int {
+		if pos[e.V] < pos[e.U] {
+			return e.V
+		}
+		return e.U
+	}
+	held := make([]int, n)
+	for _, e := range tr.edges {
+		held[holderOf(e)]++
+	}
+
+	slab := make([]PlanarCert, n)
+	edgeSlab := make([]EdgeCert, len(tr.edges))
+	ptrs := make([]*EdgeCert, 0, len(tr.edges))
+	root := g.IDOf(tr.Root)
+	for v := 0; v < n; v++ {
+		copies := tr.Copies[v]
+		c := &slab[v]
+		c.Tree = pls.TreeCert{
+			SelfID: g.IDOf(v),
+			RootID: root,
+			N:      uint64(n),
+			Dist:   uint64(tr.Depth[v]),
+			Parent: g.IDOf(tr.Parent[v]),
+			Size:   uint64(copies[len(copies)-1]-copies[0]+2) / 2,
+		}
+		if k := held[v]; k > 0 {
+			lo := len(ptrs)
+			ptrs = ptrs[:lo+k]
+			c.Edges = ptrs[lo : lo : lo+k]
+		}
+	}
+
+	iv := tr.Intervals
+	for i, e := range tr.edges {
+		ec := &edgeSlab[i]
 		if tr.Parent[e.U] == e.V || tr.Parent[e.V] == e.U {
 			child, parent := e.U, e.V
 			if tr.Parent[e.V] == e.U {
@@ -334,7 +380,7 @@ func BuildPlanarCertObjects(g *graph.Graph, tr *Transform) (map[graph.ID]*Planar
 			}
 			cc := tr.Copies[child]
 			cMin, cMax := cc[0], cc[len(cc)-1]
-			ec = &EdgeCert{
+			*ec = EdgeCert{
 				IsTree:   true,
 				ParentID: g.IDOf(parent),
 				ChildID:  g.IDOf(child),
@@ -342,44 +388,78 @@ func BuildPlanarCertObjects(g *graph.Graph, tr *Transform) (map[graph.ID]*Planar
 				CMin:     cMin,
 				CMax:     cMax,
 				PB:       cMax + 1,
-				IPA:      iv(cMin - 1),
-				ICMin:    iv(cMin),
-				ICMax:    iv(cMax),
-				IPB:      iv(cMax + 1),
+				IPA:      iv[cMin-1],
+				ICMin:    iv[cMin],
+				ICMax:    iv[cMax],
+				IPB:      iv[cMax+1],
 			}
 		} else {
-			rr := tr.CotreeRanks[e]
-			ec = &EdgeCert{
-				IsTree: false,
-				IDU:    g.IDOf(e.U),
-				IDV:    g.IDOf(e.V),
-				RankU:  rr[0],
-				RankV:  rr[1],
-				IU:     iv(rr[0]),
-				IV:     iv(rr[1]),
+			rr := tr.edgeRanks[i]
+			*ec = EdgeCert{
+				IDU:   g.IDOf(e.U),
+				IDV:   g.IDOf(e.V),
+				RankU: rr[0],
+				RankV: rr[1],
+				IU:    iv[rr[0]],
+				IV:    iv[rr[1]],
 			}
 		}
-		holder := e.U
-		if pos[e.V] < pos[e.U] {
-			holder = e.V
+		h := holderOf(e)
+		slab[h].Edges = append(slab[h].Edges, ec)
+		if holders != nil {
+			holders[e] = g.IDOf(h)
 		}
-		certs[g.IDOf(holder)].Edges = append(certs[g.IDOf(holder)].Edges, ec)
-		holders[e] = g.IDOf(holder)
 	}
-	return certs, holders, nil
+	return slab, nil
 }
 
 // EncodePlanarCerts serialises structured planarity certificates.
 func EncodePlanarCerts(objs map[graph.ID]*PlanarCert) (map[graph.ID]bits.Certificate, error) {
-	out := make(map[graph.ID]bits.Certificate, len(objs))
+	var enc certEncoder
 	for id, c := range objs {
-		var w bits.Writer
-		if err := c.Encode(&w); err != nil {
+		if err := enc.add(id, c); err != nil {
 			return nil, err
 		}
-		out[id] = bits.FromWriter(&w)
 	}
-	return out, nil
+	return enc.certificates(), nil
+}
+
+// certEncoder writes certificates back to back into one buffer, each
+// starting on a byte boundary; every certificate it returns is a slice
+// of that buffer, capped at its length.
+type certEncoder struct {
+	w     bits.Writer
+	buf   []byte
+	spans []certSpan
+}
+
+// certSpan locates one encoded certificate: it ends at byte end of the
+// buffer and is bits long.
+type certSpan struct {
+	id        graph.ID
+	end, bits int
+}
+
+// add encodes c as id's certificate.
+func (e *certEncoder) add(id graph.ID, c *PlanarCert) error {
+	e.w.Reset()
+	if err := c.Encode(&e.w); err != nil {
+		return err
+	}
+	e.buf = append(e.buf, e.w.Raw()...)
+	e.spans = append(e.spans, certSpan{id, len(e.buf), e.w.Len()})
+	return nil
+}
+
+// certificates returns the encoded assignment.
+func (e *certEncoder) certificates() map[graph.ID]bits.Certificate {
+	out := make(map[graph.ID]bits.Certificate, len(e.spans))
+	lo := 0
+	for _, s := range e.spans {
+		out[s.id] = bits.Certificate{Data: e.buf[lo:s.end:s.end], Bits: s.bits}
+		lo = s.end
+	}
+	return out
 }
 
 // Verify implements pls.Scheme: Algorithm 2 of the paper.

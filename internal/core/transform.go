@@ -31,18 +31,21 @@ type Transform struct {
 	// Copies maps each vertex to its ranks i_1 < ... < i_d.
 	Copies [][]int
 
-	// CotreeEdges maps every cotree edge of G to its unique edge of
-	// G_{T,f} in rank space.
-	CotreeEdges map[graph.Edge]graph.Edge
 	// CotreeRanks maps every cotree edge e (normalised, e.U < e.V as
 	// indices) to the pair [rank of e.U's copy, rank of e.V's copy].
 	CotreeRanks map[graph.Edge][2]int
 	// POEdges is the full edge set of G_{T,f} in rank space: the path
-	// edges {i, i+1} plus the mapped cotree edges.
+	// edges {i, i+1}, then the mapped cotree edges in edges order.
 	POEdges []graph.Edge
 	// Intervals holds I(x) for each rank x (index 0 unused), as computed
 	// by the nesting sweep; present only after a successful Build.
 	Intervals []Interval
+
+	// edges lists G's edges in graph.Edges order, and edgeRanks[i] is
+	// CotreeRanks[edges[i]] for a cotree edge ({0, 0} for a tree edge):
+	// the certificate builder reads both by index.
+	edges     []graph.Edge
+	edgeRanks [][2]int
 }
 
 // BuildTransform computes the transform for a connected planar graph g
@@ -50,6 +53,11 @@ type Transform struct {
 // vertex root. It returns an error if g is disconnected or if the
 // construction fails to produce a path-outerplanar graph (which, by
 // Lemma 3, indicates rot is not a planar embedding).
+//
+// It works on rot's half-edge CSR layout (embedding.HalfEdges): the DFS
+// walks slots, a backward sweep over each rotation gives every slot the
+// rank of the copy its edge attaches to, and the twin array gives each
+// edge's slot at its other endpoint. All of it is O(n + m).
 func BuildTransform(g *graph.Graph, rot *embedding.Rotation, root int) (*Transform, error) {
 	n := g.N()
 	if n == 0 {
@@ -58,18 +66,22 @@ func BuildTransform(g *graph.Graph, rot *embedding.Rotation, root int) (*Transfo
 	if err := rot.Validate(g); err != nil {
 		return nil, fmt.Errorf("core: invalid rotation: %w", err)
 	}
+	he, ok := rot.HalfEdges()
+	if !ok { // unreachable: Validate accepted rot
+		return nil, fmt.Errorf("core: invalid rotation: inconsistent half-edges")
+	}
 	t := &Transform{
 		G:           g,
 		Root:        root,
 		Parent:      make([]int, n),
-		ChildOrder:  make([][]int, n),
 		Depth:       make([]int, n),
 		N2:          2*n - 1,
 		F:           make([]int, 2*n),
-		Copies:      make([][]int, n),
-		CotreeEdges: make(map[graph.Edge]graph.Edge, g.M()-n+1),
 		CotreeRanks: make(map[graph.Edge][2]int, g.M()-n+1),
 	}
+	// start[v] is the position in v's rotation where v's DFS scan starts
+	// counting: the parent slot, or 0 at the root.
+	start := make([]int, n)
 	for i := range t.Parent {
 		t.Parent[i] = -1
 		t.Depth[i] = -1
@@ -80,63 +92,107 @@ func BuildTransform(g *graph.Graph, rot *embedding.Rotation, root int) (*Transfo
 	// DFS following the rotation: at v, scan neighbors starting just after
 	// the parent's slot (for the root: from slot 0, i.e. the virtual r'
 	// sits before slot 0). Unvisited neighbors become children in that
-	// order.
-	counter := 0
-	var dfs func(v int)
-	dfs = func(v int) {
-		counter++
-		t.F[counter] = v
-		t.Copies[v] = append(t.Copies[v], counter)
-		rotv := rot.Order[v]
-		start := 0
-		if v != t.Root {
-			p := rot.PositionOf(v, t.Parent[v])
-			start = p + 1
-		}
-		for s := 0; s < len(rotv); s++ {
-			w := rotv[(start+s)%len(rotv)]
-			if v != t.Root && w == t.Parent[v] {
-				continue
-			}
-			if t.Depth[w] == -1 { // tree child
-				t.Parent[w] = v
-				t.Depth[w] = t.Depth[v] + 1
-				t.ChildOrder[v] = append(t.ChildOrder[v], w)
-				dfs(w)
+	// order. Each frame holds the next scan offset from start[v]; a
+	// vertex gets a rank on entry and again after each child returns.
+	type frame struct{ v, s int }
+	counter := 1
+	t.F[1] = root
+	stack := []frame{{root, 0}}
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		v := top.v
+		deg := he.Off[v+1] - he.Off[v]
+		if top.s == deg {
+			stack = stack[:len(stack)-1]
+			if len(stack) > 0 {
 				counter++
-				t.F[counter] = v
-				t.Copies[v] = append(t.Copies[v], counter)
+				t.F[counter] = stack[len(stack)-1].v
 			}
+			continue
 		}
+		h := he.Off[v] + (start[v]+top.s)%deg
+		top.s++
+		w := he.Head[h]
+		if t.Depth[w] != -1 {
+			continue // the parent, or a cotree edge
+		}
+		t.Parent[w] = v
+		t.Depth[w] = t.Depth[v] + 1
+		start[w] = he.Twin[h] - he.Off[w]
+		counter++
+		t.F[counter] = w
+		stack = append(stack, frame{w, 1})
 	}
-	dfs(root)
 	if counter != t.N2 {
 		return nil, fmt.Errorf("core: DFS covered %d ranks, want %d (graph disconnected?)", counter, t.N2)
 	}
+	t.Copies, t.ChildOrder = copiesOf(t.F[1:t.N2+1], n)
 
-	// Path edges of G_{T,f}.
-	t.POEdges = make([]graph.Edge, 0, t.N2-1+g.M())
+	// Every slot's copy (Lemma 3): scanning v's rotation forward from a
+	// slot, the first tree-child slot c_k gives copy i_k, and wrapping to
+	// the parent slot (or the root's virtual r' boundary) gives copy i_d.
+	// One backward sweep from the boundary assigns all of them.
+	copyAt := make([]int, len(he.Head))
+	for v := 0; v < n; v++ {
+		deg := he.Off[v+1] - he.Off[v]
+		copies := t.Copies[v]
+		k := len(copies) - 1
+		for off := deg - 1; off >= 0; off-- {
+			h := he.Off[v] + (start[v]+off)%deg
+			copyAt[h] = copies[k]
+			if w := he.Head[h]; t.Parent[w] == v {
+				k--
+			}
+		}
+	}
+
+	// G's edges in graph.Edges order, by one bucketing pass: visiting v in
+	// ascending order, each slot (v, u) with u < v files the twin slot
+	// (u, v) under u, so every bucket comes out sorted by v.
+	m := g.M()
+	edgeOff := make([]int, n+1)
+	for v := 0; v < n; v++ {
+		for _, u := range he.Head[he.Off[v]:he.Off[v+1]] {
+			if u < v {
+				edgeOff[u+1]++
+			}
+		}
+	}
+	for u := 0; u < n; u++ {
+		edgeOff[u+1] += edgeOff[u]
+	}
+	edgeSlot := make([]int, m)
+	for v := 0; v < n; v++ {
+		for h := he.Off[v]; h < he.Off[v+1]; h++ {
+			if u := he.Head[h]; u < v {
+				edgeSlot[edgeOff[u]] = he.Twin[h]
+				edgeOff[u]++
+			}
+		}
+	}
+
+	// Path edges of G_{T,f}, then the cotree edges in edge order.
+	t.POEdges = make([]graph.Edge, 0, t.N2-1+m-(n-1))
 	for i := 1; i < t.N2; i++ {
 		t.POEdges = append(t.POEdges, graph.NewEdge(i, i+1))
 	}
-
-	// Cotree edges: attach each endpoint to the copy given by its type
-	// (Lemma 3): scan the rotation forward from the cotree slot; the first
-	// tree-neighbor slot c_k gives copy i_k, wrapping to the parent slot
-	// (or the root's virtual r' boundary) gives copy i_d.
-	for _, e := range g.Edges() {
-		if t.Parent[e.U] == e.V || t.Parent[e.V] == e.U {
+	t.edges = make([]graph.Edge, m)
+	t.edgeRanks = make([][2]int, m)
+	for i, u := 0, 0; i < m; i++ {
+		for i == edgeOff[u] { // edgeOff[u] now ends u's bucket
+			u++
+		}
+		s := edgeSlot[i]
+		v := he.Head[s]
+		e := graph.Edge{U: u, V: v}
+		t.edges[i] = e
+		if t.Parent[u] == v || t.Parent[v] == u {
 			continue // tree edge
 		}
-		ru := t.copyForCotree(rot, e.U, e.V)
-		rv := t.copyForCotree(rot, e.V, e.U)
-		if ru < 0 || rv < 0 {
-			return nil, fmt.Errorf("core: no copy found for cotree edge %v", e)
-		}
-		po := graph.NewEdge(ru, rv)
-		t.CotreeEdges[e] = po
-		t.CotreeRanks[e] = [2]int{ru, rv}
-		t.POEdges = append(t.POEdges, po)
+		rr := [2]int{copyAt[s], copyAt[he.Twin[s]]}
+		t.edgeRanks[i] = rr
+		t.CotreeRanks[e] = rr
+		t.POEdges = append(t.POEdges, graph.NewEdge(rr[0], rr[1]))
 	}
 
 	// Compute intervals; the sweep also proves the identity order is a
@@ -149,54 +205,47 @@ func BuildTransform(g *graph.Graph, rot *embedding.Rotation, root int) (*Transfo
 	return t, nil
 }
 
-// cotreeOnly lists the non-path PO edges (path edges never strictly cover
-// a rank and never cross anything).
-func cotreeOnly(t *Transform) []graph.Edge {
-	out := make([]graph.Edge, 0, len(t.CotreeEdges))
-	for _, po := range t.CotreeEdges {
-		out = append(out, po)
+// copiesOf inverts the DFS mapping f (f[i] is the vertex of rank i+1):
+// each vertex's ranks in ascending order, and its children in DFS order
+// (the k-th child's subtree starts right after the vertex's k-th copy).
+// Both tables are carved from one backing array each, every row capped
+// at its length.
+func copiesOf(f []int, n int) (copies, children [][]int) {
+	off := make([]int, n+1)
+	for _, v := range f {
+		off[v+1]++
 	}
-	return out
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	ranks := make([]int, len(f))
+	kids := make([]int, 0, n-1)
+	copies = make([][]int, n)
+	children = make([][]int, n)
+	fill := off[:n]
+	for i, v := range f {
+		ranks[fill[v]] = i + 1
+		fill[v]++
+	}
+	// fill[v] now equals the start of v+1's row.
+	for v, lo := 0, 0; v < n; v++ {
+		hi := fill[v]
+		copies[v] = ranks[lo:hi:hi]
+		if hi-lo > 1 {
+			k0 := len(kids)
+			for _, r := range ranks[lo : hi-1] {
+				kids = append(kids, f[r]) // the vertex of rank r+1
+			}
+			children[v] = kids[k0:len(kids):len(kids)]
+		}
+		lo = hi
+	}
+	return copies, children
 }
 
-// copyForCotree determines which copy of v the cotree edge {v, u} attaches
-// to: the rank i_k whose section of the circle C_v contains the edge's
-// crossing point.
-func (t *Transform) copyForCotree(rot *embedding.Rotation, v, u int) int {
-	rotv := rot.Order[v]
-	slot := rot.PositionOf(v, u)
-	if slot < 0 {
-		return -1
-	}
-	copies := t.Copies[v]
-	d := len(copies)
-	// Conceptually rotate so the list starts at the parent slot (root: at
-	// the virtual r' boundary before slot 0). Children then appear in
-	// ChildOrder; scanning forward from the cotree slot, the first tree
-	// slot met is c_k -> copy i_k, and reaching the start-of-list boundary
-	// (the parent / r') -> copy i_d.
-	start := 0
-	if v != t.Root {
-		start = rot.PositionOf(v, t.Parent[v])
-	}
-	// Position of slot in the rotated list (0 = parent/r' boundary).
-	rel := ((slot-start)%len(rotv) + len(rotv)) % len(rotv)
-	childRank := make(map[int]int, len(t.ChildOrder[v]))
-	for k, c := range t.ChildOrder[v] {
-		childRank[c] = k // c_{k+1} in 1-based notation -> copy i_{k+1}
-	}
-	for off := rel + 1; off < len(rotv); off++ {
-		w := rotv[(start+off)%len(rotv)]
-		if k, ok := childRank[w]; ok {
-			return copies[k]
-		}
-		if v != t.Root && w == t.Parent[v] {
-			return copies[d-1]
-		}
-	}
-	// Wrapped to the boundary: parent slot (non-root) or r' (root).
-	return copies[d-1]
-}
+// cotreeOnly lists the non-path PO edges (path edges never strictly cover
+// a rank and never cross anything).
+func cotreeOnly(t *Transform) []graph.Edge { return t.POEdges[t.N2-1:] }
 
 // TransformOf is the honest-prover pipeline: test planarity, audit the
 // embedding, and build the transform rooted at vertex 0.

@@ -41,104 +41,179 @@ func FromAdjacency(g *graph.Graph) *Rotation {
 }
 
 // Validate checks that the rotation system matches the graph: every vertex
-// lists exactly its neighbors, once each.
+// lists exactly its neighbors, once each. Two stamp arrays stand in for
+// per-vertex sets: nbr[v] == u+1 marks v as a neighbor of u, and
+// listed[v] == u+1 marks v as already listed in u's rotation.
 func (r *Rotation) Validate(g *graph.Graph) error {
-	if len(r.Order) != g.N() {
-		return fmt.Errorf("embedding: rotation has %d vertices, graph has %d", len(r.Order), g.N())
+	n := g.N()
+	if len(r.Order) != n {
+		return fmt.Errorf("embedding: rotation has %d vertices, graph has %d", len(r.Order), n)
 	}
-	for u := 0; u < g.N(); u++ {
+	stamps := make([]int, 2*n)
+	nbr, listed := stamps[:n], stamps[n:]
+	for u := 0; u < n; u++ {
 		if len(r.Order[u]) != g.Degree(u) {
 			return fmt.Errorf("embedding: vertex %d rotation lists %d neighbors, degree is %d",
 				u, len(r.Order[u]), g.Degree(u))
 		}
-		seen := make(map[int]bool, len(r.Order[u]))
+		stamp := u + 1
+		for _, v := range g.Neighbors(u) {
+			nbr[v] = stamp
+		}
 		for _, v := range r.Order[u] {
-			if !g.HasEdge(u, v) {
+			if v < 0 || v >= n || nbr[v] != stamp {
 				return fmt.Errorf("embedding: rotation at %d lists non-neighbor %d", u, v)
 			}
-			if seen[v] {
+			if listed[v] == stamp {
 				return fmt.Errorf("embedding: rotation at %d lists %d twice", u, v)
 			}
-			seen[v] = true
+			listed[v] = stamp
 		}
 	}
 	return nil
 }
 
-// half identifies the directed edge (u -> v).
-type half struct{ u, v int }
-
-// next returns, for the directed edge (u,v), the directed edge that follows
-// it on the same face: (v, w) with w the successor of u in rotation at v.
-func (r *Rotation) next(u, v int) (int, int) {
-	rot := r.Order[v]
-	for i, x := range rot {
-		if x == u {
-			return v, rot[(i+1)%len(rot)]
-		}
-	}
-	// Unreachable for validated rotations.
-	return v, u
+// HalfEdges is a rotation system in CSR (compressed sparse row) form.
+// Vertex u's half-edges are the slots Off[u] .. Off[u+1]-1, in rotation
+// order: slot h is the directed edge (u, Head[h]), and Twin[h] is the
+// slot of the reverse edge (Head[h], u) in the rotation at Head[h].
+type HalfEdges struct {
+	Off, Head, Twin []int
 }
 
-// Faces traces every face of the rotation system. Each face is returned as
-// the cyclic sequence of vertices visited (one entry per directed edge on
-// the face boundary).
-func (r *Rotation) Faces() [][]int {
-	visited := make(map[half]bool)
-	var faces [][]int
-	for u := range r.Order {
-		for _, v := range r.Order[u] {
-			if visited[half{u, v}] {
-				continue
+// HalfEdges builds the CSR layout of r in O(n + m). One bucketing pass
+// groups the slots by head vertex; then, per vertex v, a stamp array
+// gives each neighbor's position in v's rotation, and so the twin of
+// every slot that enters v. It reports false if r is not consistent: a
+// listed vertex out of range, or u listing v without v listing u once.
+func (r *Rotation) HalfEdges() (HalfEdges, bool) {
+	n := len(r.Order)
+	slots := 0
+	for _, rot := range r.Order {
+		slots += len(rot)
+	}
+	flat := make([]int, n+1+2*slots)
+	he := HalfEdges{Off: flat[:n+1], Head: flat[n+1 : n+1+slots], Twin: flat[n+1+slots:]}
+	for u, rot := range r.Order {
+		he.Off[u+1] = he.Off[u] + len(rot)
+		copy(he.Head[he.Off[u]:], rot)
+	}
+	// into[Off[v] .. Off[v+1]-1] lists the slots whose head is v, and
+	// tail[h] is the vertex slot h leaves. fill counts each bucket, then
+	// serves as pos: pos[w] is w's position in the rotation of the vertex
+	// being matched, valid while stamp[w] is that vertex plus one.
+	tmp := make([]int, 2*slots+2*n)
+	into, tail, fill, stamp := tmp[:slots], tmp[slots:2*slots], tmp[2*slots:2*slots+n], tmp[2*slots+n:]
+	for u, rot := range r.Order {
+		for i, v := range rot {
+			if v < 0 || v >= n || fill[v] == len(r.Order[v]) {
+				return HalfEdges{}, false
 			}
-			var face []int
-			cu, cv := u, v
-			for !visited[half{cu, cv}] {
-				visited[half{cu, cv}] = true
-				face = append(face, cu)
-				cu, cv = r.next(cu, cv)
-			}
-			faces = append(faces, face)
+			h := he.Off[u] + i
+			into[he.Off[v]+fill[v]] = h
+			fill[v]++
+			tail[h] = u
 		}
 	}
-	return faces
+	pos := fill
+	for v, rot := range r.Order {
+		for j, w := range rot {
+			pos[w], stamp[w] = j, v+1
+		}
+		for _, h := range into[he.Off[v]:he.Off[v+1]] {
+			u := tail[h]
+			if stamp[u] != v+1 {
+				return HalfEdges{}, false
+			}
+			he.Twin[h] = he.Off[v] + pos[u]
+		}
+	}
+	return he, true
 }
 
-// Genus computes the total (orientable) genus of the rotation system on
-// graph g, summed over connected components. For each component, Euler's
+// Next returns the slot that follows h on its face: for h = (u, v) it
+// is (v, w), with w the successor of u in the rotation at v.
+func (he HalfEdges) Next(h int) int {
+	t := he.Twin[h] + 1
+	if v := he.Head[h]; t == he.Off[v+1] {
+		t = he.Off[v]
+	}
+	return t
+}
+
+// traceFace marks every slot of the face through h in seen, a bitmap
+// over slots, unless h is already marked. It reports whether h opened a
+// new face.
+func (he HalfEdges) traceFace(h int, seen []uint64) bool {
+	if seen[h>>6]&(1<<uint(h&63)) != 0 {
+		return false
+	}
+	for x := h; seen[x>>6]&(1<<uint(x&63)) == 0; x = he.Next(x) {
+		seen[x>>6] |= 1 << uint(x&63)
+	}
+	return true
+}
+
+// newSlotBitmap returns an all-clear bitmap over the slots.
+func (he HalfEdges) newSlotBitmap() []uint64 {
+	return make([]uint64, (len(he.Head)+63)/64)
+}
+
+// Genus computes the total (orientable) genus of the rotation system,
+// summed over connected components. For each component, Euler's
 // relation on its embedding surface gives n_c - m_c + f_c = 2 - 2*genus_c,
 // where f_c counts the faces traced within that component (an isolated
 // vertex traces no half-edge and contributes its single face directly).
+// r must be a valid rotation system of g (see Validate); the count then
+// reads r alone, and for an inconsistent r Genus returns -1.
 func (r *Rotation) Genus(g *graph.Graph) int {
-	comps := g.Components()
-	compOf := make([]int, g.N())
-	for ci, comp := range comps {
-		for _, v := range comp {
-			compOf[v] = ci
-		}
+	he, ok := r.HalfEdges()
+	if !ok {
+		return -1
 	}
-	facesPer := make([]int, len(comps))
-	for _, face := range r.Faces() {
-		facesPer[compOf[face[0]]]++
-	}
-	edgesPer := make([]int, len(comps))
-	for _, e := range g.Edges() {
-		edgesPer[compOf[e.U]]++
-	}
+	n := len(r.Order)
+	seen := he.newSlotBitmap()
+	inComp := make([]bool, n)
+	comp := make([]int, 0, n)
 	total := 0
-	for ci, comp := range comps {
-		f := facesPer[ci]
-		if edgesPer[ci] == 0 {
-			f = 1 // an isolated vertex has exactly one face
+	for s := 0; s < n; s++ {
+		if inComp[s] {
+			continue
 		}
-		total += (2 - len(comp) + edgesPer[ci] - f) / 2
+		// Collect s's component breadth-first, counting its half-edges.
+		comp = append(comp[:0], s)
+		inComp[s] = true
+		halves := 0
+		for i := 0; i < len(comp); i++ {
+			u := comp[i]
+			halves += len(r.Order[u])
+			for _, v := range r.Order[u] {
+				if !inComp[v] {
+					inComp[v] = true
+					comp = append(comp, v)
+				}
+			}
+		}
+		if halves == 0 {
+			continue // an isolated vertex has exactly one face: genus 0
+		}
+		faces := 0
+		for _, u := range comp {
+			for h := he.Off[u]; h < he.Off[u+1]; h++ {
+				if he.traceFace(h, seen) {
+					faces++
+				}
+			}
+		}
+		total += (2 - len(comp) + halves/2 - faces) / 2
 	}
 	return total
 }
 
 // IsPlanar reports whether the rotation system is a planar (genus-0)
-// embedding of g, after validating structural consistency.
+// embedding of g, after validating structural consistency. This Euler
+// audit runs on every planarity proof, so it works on flat arrays in
+// O(n + m) with a constant number of allocations.
 func (r *Rotation) IsPlanar(g *graph.Graph) (bool, error) {
 	if err := r.Validate(g); err != nil {
 		return false, err
@@ -206,5 +281,19 @@ func (r *Rotation) Clone() *Rotation {
 	return c
 }
 
-// FaceCount returns the number of faces (convenience wrapper).
-func (r *Rotation) FaceCount() int { return len(r.Faces()) }
+// FaceCount returns the number of faces traced by the rotation system,
+// or -1 if r is not consistent (see Validate).
+func (r *Rotation) FaceCount() int {
+	he, ok := r.HalfEdges()
+	if !ok {
+		return -1
+	}
+	seen := he.newSlotBitmap()
+	faces := 0
+	for h := range he.Head {
+		if he.traceFace(h, seen) {
+			faces++
+		}
+	}
+	return faces
+}

@@ -250,13 +250,19 @@ func schemeByName(name SchemeName) (pls.Scheme, error) {
 }
 
 // cloneCertificates deep-copies a certificate assignment: a fresh map
-// whose Data slices share no backing array with the input.
+// whose Data slices share no backing array with the input. The copies
+// are carved from one buffer, each capped at its length.
 func cloneCertificates(certs Certificates) Certificates {
+	size := 0
+	for _, c := range certs {
+		size += len(c.Data)
+	}
+	buf := make([]byte, 0, size)
 	out := make(Certificates, len(certs))
 	for id, c := range certs {
-		data := make([]byte, len(c.Data))
-		copy(data, c.Data)
-		out[id] = Certificate{Data: data, Bits: c.Bits}
+		lo := len(buf)
+		buf = append(buf, c.Data...)
+		out[id] = Certificate{Data: buf[lo:len(buf):len(buf)], Bits: c.Bits}
 	}
 	return out
 }
