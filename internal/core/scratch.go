@@ -149,8 +149,8 @@ type planarScratch struct {
 	claims   rankMap[Interval]
 	copyIdx  rankMap[int]
 	children []childInfo
-	copies   []int           // my reconstructed copies f^{-1}(me)
-	cotree   [][]PONeighbor  // cotree attachments per copy index
+	copies   []int          // my reconstructed copies f^{-1}(me)
+	cotree   [][]PONeighbor // cotree attachments per copy index
 	po       poNodeScratch
 }
 

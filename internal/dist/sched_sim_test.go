@@ -86,6 +86,12 @@ func TestBudgetFairShareSimulation(t *testing.T) {
 			}
 			for i := 0; i < rounds; i++ {
 				w := <-served
+				// Wait for the previous holder to queue again, so every
+				// claimant is backlogged when w releases the slot; under
+				// the race detector that goroutine can lag behind.
+				for b.Scheduler().QueueDepth() < nworkers-1 {
+					runtime.Gosched()
+				}
 				counts[w/perClmt]++
 				resume[w] <- struct{}{}
 			}
