@@ -451,12 +451,16 @@ func (e *certEncoder) add(id graph.ID, c *PlanarCert) error {
 	return nil
 }
 
-// certificates returns the encoded assignment.
+// certificates returns the encoded assignment. The certificates share
+// one exactly sized copy of the buffer, so sessions and caches that keep
+// them do not also keep the buffer's growth slack.
 func (e *certEncoder) certificates() map[graph.ID]bits.Certificate {
+	buf := make([]byte, len(e.buf))
+	copy(buf, e.buf)
 	out := make(map[graph.ID]bits.Certificate, len(e.spans))
 	lo := 0
 	for _, s := range e.spans {
-		out[s.id] = bits.Certificate{Data: e.buf[lo:s.end:s.end], Bits: s.bits}
+		out[s.id] = bits.Certificate{Data: buf[lo:s.end:s.end], Bits: s.bits}
 		lo = s.end
 	}
 	return out
