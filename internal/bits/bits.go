@@ -106,16 +106,10 @@ func (w *Writer) WriteInt(v, lo int64, width int) error {
 // bits of payload. Cost: 6 + bitlen(v) bits — O(log v).
 func (w *Writer) WriteVar(v uint64) error {
 	n := bitLen(v)
-	if n > 63 {
-		return fmt.Errorf("%w: %d does not fit in 6 bits", ErrOutOfRange, n)
+	if err := w.WriteUint(uint64(n), 6); err != nil {
+		return err
 	}
-	if n <= 58 { // prefix and payload in one field
-		w.put(uint64(n)<<uint(n)|v, 6+n)
-		return nil
-	}
-	w.put(uint64(n), 6)
-	w.put(v, n)
-	return nil
+	return w.WriteUint(v, n)
 }
 
 // WriteVarInt appends a signed value as a zigzag-mapped WriteVar, so

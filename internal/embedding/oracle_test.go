@@ -6,9 +6,10 @@ import (
 	"github.com/planarcert/planarcert/internal/graph"
 )
 
-// This file keeps the map-based audit that predates the CSR layout, as
-// the oracle the parity tests and FuzzAuditParity compare against. It is
-// exported to the external test package only.
+// This file holds a map-based implementation of the audit (a set per
+// vertex, edge-map lookups, face lists), the oracle the parity tests and
+// FuzzAuditParity compare against. It is exported to the external test
+// package only.
 
 // OracleValidate is Validate with a set per vertex and edge-map lookups.
 func OracleValidate(r *Rotation, g *graph.Graph) error {
