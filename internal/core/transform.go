@@ -31,9 +31,6 @@ type Transform struct {
 	// Copies maps each vertex to its ranks i_1 < ... < i_d.
 	Copies [][]int
 
-	// CotreeRanks maps every cotree edge e (normalised, e.U < e.V as
-	// indices) to the pair [rank of e.U's copy, rank of e.V's copy].
-	CotreeRanks map[graph.Edge][2]int
 	// POEdges is the full edge set of G_{T,f} in rank space: the path
 	// edges {i, i+1}, then the mapped cotree edges in edges order.
 	POEdges []graph.Edge
@@ -41,9 +38,10 @@ type Transform struct {
 	// by the nesting sweep; present only after a successful Build.
 	Intervals []Interval
 
-	// edges lists G's edges in graph.Edges order, and edgeRanks[i] is
-	// CotreeRanks[edges[i]] for a cotree edge ({0, 0} for a tree edge):
-	// the certificate builder reads both by index.
+	// edges lists G's edges in graph.Edges order. For a cotree edge,
+	// edgeRanks[i] is [rank of edges[i].U's copy, rank of edges[i].V's
+	// copy]; for a tree edge it is {0, 0}. The certificate builder reads
+	// both by index.
 	edges     []graph.Edge
 	edgeRanks [][2]int
 }
@@ -71,13 +69,12 @@ func BuildTransform(g *graph.Graph, rot *embedding.Rotation, root int) (*Transfo
 		return nil, fmt.Errorf("core: invalid rotation: inconsistent half-edges")
 	}
 	t := &Transform{
-		G:           g,
-		Root:        root,
-		Parent:      make([]int, n),
-		Depth:       make([]int, n),
-		N2:          2*n - 1,
-		F:           make([]int, 2*n),
-		CotreeRanks: make(map[graph.Edge][2]int, g.M()-n+1),
+		G:      g,
+		Root:   root,
+		Parent: make([]int, n),
+		Depth:  make([]int, n),
+		N2:     2*n - 1,
+		F:      make([]int, 2*n),
 	}
 	// start[v] is the position in v's rotation where v's DFS scan starts
 	// counting: the parent slot, or 0 at the root.
@@ -184,14 +181,12 @@ func BuildTransform(g *graph.Graph, rot *embedding.Rotation, root int) (*Transfo
 		}
 		s := edgeSlot[i]
 		v := he.Head[s]
-		e := graph.Edge{U: u, V: v}
-		t.edges[i] = e
+		t.edges[i] = graph.Edge{U: u, V: v}
 		if t.Parent[u] == v || t.Parent[v] == u {
 			continue // tree edge
 		}
 		rr := [2]int{copyAt[s], copyAt[he.Twin[s]]}
 		t.edgeRanks[i] = rr
-		t.CotreeRanks[e] = rr
 		t.POEdges = append(t.POEdges, graph.NewEdge(rr[0], rr[1]))
 	}
 
@@ -203,6 +198,19 @@ func BuildTransform(g *graph.Graph, rot *embedding.Rotation, root int) (*Transfo
 	}
 	t.Intervals = intervals
 	return t, nil
+}
+
+// CotreeRanks maps every cotree edge e (normalised, e.U < e.V as
+// indices) to the pair [rank of e.U's copy, rank of e.V's copy]. It is
+// built on each call; the prover itself reads the ranks by edge index.
+func (t *Transform) CotreeRanks() map[graph.Edge][2]int {
+	out := make(map[graph.Edge][2]int, len(t.edges)-len(t.Parent)+1)
+	for i, rr := range t.edgeRanks {
+		if rr != [2]int{} {
+			out[t.edges[i]] = rr
+		}
+	}
+	return out
 }
 
 // copiesOf inverts the DFS mapping f (f[i] is the vertex of rank i+1):

@@ -54,6 +54,7 @@ type planarState struct {
 }
 
 func newPlanarState(g *graph.Graph, tr *core.Transform, objs map[graph.ID]*core.PlanarCert, holders map[graph.Edge]graph.ID) *planarState {
+	chords := tr.CotreeRanks()
 	p := &planarState{
 		g:      g,
 		n2:     tr.N2,
@@ -61,12 +62,12 @@ func newPlanarState(g *graph.Graph, tr *core.Transform, objs map[graph.ID]*core.
 		copies: tr.Copies,
 		parent: tr.Parent,
 		iv:     tr.Intervals,
-		chords: tr.CotreeRanks,
-		byRank: make(map[int][]graph.Edge, len(tr.CotreeRanks)),
+		chords: chords,
+		byRank: make(map[int][]graph.Edge, len(chords)),
 		objs:   objs,
 		holder: holders,
 	}
-	for e, rr := range tr.CotreeRanks {
+	for e, rr := range chords {
 		p.byRank[rr[0]] = append(p.byRank[rr[0]], e)
 		p.byRank[rr[1]] = append(p.byRank[rr[1]], e)
 	}

@@ -224,54 +224,6 @@ func (r *Rotation) IsPlanar(g *graph.Graph) (bool, error) {
 	return r.Genus(g) == 0, nil
 }
 
-// PositionOf returns the index of neighbor v in u's rotation, or -1.
-func (r *Rotation) PositionOf(u, v int) int {
-	for i, x := range r.Order[u] {
-		if x == v {
-			return i
-		}
-	}
-	return -1
-}
-
-// InsertAfter inserts neighbor w into u's rotation immediately after ref.
-// If ref is -1 (or u's rotation is empty), w is appended.
-func (r *Rotation) InsertAfter(u, ref, w int) {
-	if ref < 0 || len(r.Order[u]) == 0 {
-		r.Order[u] = append(r.Order[u], w)
-		return
-	}
-	i := r.PositionOf(u, ref)
-	if i < 0 {
-		r.Order[u] = append(r.Order[u], w)
-		return
-	}
-	r.Order[u] = append(r.Order[u], 0)
-	copy(r.Order[u][i+2:], r.Order[u][i+1:])
-	r.Order[u][i+1] = w
-}
-
-// InsertBefore inserts neighbor w into u's rotation immediately before ref.
-func (r *Rotation) InsertBefore(u, ref, w int) {
-	if ref < 0 || len(r.Order[u]) == 0 {
-		r.Order[u] = append(r.Order[u], w)
-		return
-	}
-	i := r.PositionOf(u, ref)
-	if i < 0 {
-		r.Order[u] = append(r.Order[u], w)
-		return
-	}
-	r.Order[u] = append(r.Order[u], 0)
-	copy(r.Order[u][i+1:], r.Order[u][i:])
-	r.Order[u][i] = w
-}
-
-// PrependFirst inserts w at the front of u's rotation.
-func (r *Rotation) PrependFirst(u, w int) {
-	r.Order[u] = append([]int{w}, r.Order[u]...)
-}
-
 // Clone returns a deep copy of the rotation system.
 func (r *Rotation) Clone() *Rotation {
 	c := NewRotation(len(r.Order))

@@ -159,54 +159,11 @@ func TestDisconnectedGenus(t *testing.T) {
 	}
 }
 
-func TestInsertAfterBefore(t *testing.T) {
-	r := NewRotation(1)
-	r.Order[0] = []int{10, 20, 30}
-	r.InsertAfter(0, 20, 25)
-	want := []int{10, 20, 25, 30}
-	for i, v := range want {
-		if r.Order[0][i] != v {
-			t.Fatalf("InsertAfter result = %v, want %v", r.Order[0], want)
-		}
-	}
-	r.InsertBefore(0, 10, 5)
-	if r.Order[0][0] != 5 || r.Order[0][1] != 10 {
-		t.Fatalf("InsertBefore result = %v", r.Order[0])
-	}
-	r.PrependFirst(0, 1)
-	if r.Order[0][0] != 1 {
-		t.Fatalf("PrependFirst result = %v", r.Order[0])
-	}
-}
-
-func TestInsertFallbacks(t *testing.T) {
-	r := NewRotation(1)
-	r.InsertAfter(0, -1, 7)
-	if len(r.Order[0]) != 1 || r.Order[0][0] != 7 {
-		t.Fatalf("InsertAfter on empty = %v", r.Order[0])
-	}
-	r.InsertBefore(0, 99, 8) // missing ref appends
-	if len(r.Order[0]) != 2 || r.Order[0][1] != 8 {
-		t.Fatalf("InsertBefore missing ref = %v", r.Order[0])
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	_, r := k4Planar(t)
 	c := r.Clone()
 	c.Order[0][0] = 99
 	if r.Order[0][0] == 99 {
 		t.Fatal("Clone shares backing arrays")
-	}
-}
-
-func TestPositionOf(t *testing.T) {
-	r := NewRotation(1)
-	r.Order[0] = []int{4, 5, 6}
-	if r.PositionOf(0, 5) != 1 {
-		t.Fatal("PositionOf wrong")
-	}
-	if r.PositionOf(0, 9) != -1 {
-		t.Fatal("PositionOf missing should be -1")
 	}
 }

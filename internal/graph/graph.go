@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"sort"
+	"slices"
 )
 
 // ID is a node identifier. Identifiers are unique in a network and fit in
@@ -37,20 +37,25 @@ func (e Edge) Has(x int) bool { return e.U == x || e.V == x }
 
 // Graph is a mutable undirected simple graph. The zero value is an empty
 // graph ready to use; nodes are added implicitly by AddNode/AddEdge.
+//
+// Each edge is stored once, as an entry in both endpoints' adjacency
+// lists; there is no separate edge set. HasEdge scans the shorter of the
+// two lists. Over all edges of a planar graph those scans total O(m),
+// because planar graphs have arboricity at most 3; and a scan never costs
+// more than the list scans RemoveEdge needs anyway.
 type Graph struct {
-	adj   [][]int       // adjacency lists by node index
-	ids   []ID          // node index -> identifier
-	byID  map[ID]int    // identifier -> node index
-	edges map[Edge]bool // normalised edge set
+	adj  [][]int    // adjacency lists by node index
+	ids  []ID       // node index -> identifier
+	byID map[ID]int // identifier -> node index
+	m    int        // edge count
 }
 
 // New returns an empty graph with capacity hints for n nodes.
 func New(n int) *Graph {
 	return &Graph{
-		adj:   make([][]int, 0, n),
-		ids:   make([]ID, 0, n),
-		byID:  make(map[ID]int, n),
-		edges: make(map[Edge]bool, 3*n),
+		adj:  make([][]int, 0, n),
+		ids:  make([]ID, 0, n),
+		byID: make(map[ID]int, n),
 	}
 }
 
@@ -107,14 +112,10 @@ func (g *Graph) AddEdge(u, v int) error {
 	if u < 0 || u >= len(g.adj) || v < 0 || v >= len(g.adj) {
 		return fmt.Errorf("%w: edge {%d,%d}", ErrNoSuchNode, u, v)
 	}
-	e := NewEdge(u, v)
-	if g.edges == nil {
-		g.edges = make(map[Edge]bool)
-	}
-	if g.edges[e] {
+	if g.HasEdge(u, v) {
 		return fmt.Errorf("graph: duplicate edge {%d,%d}", u, v)
 	}
-	g.edges[e] = true
+	g.m++
 	g.adj[u] = append(g.adj[u], v)
 	g.adj[v] = append(g.adj[v], u)
 	return nil
@@ -130,11 +131,10 @@ func (g *Graph) MustAddEdge(u, v int) {
 // RemoveEdge deletes the undirected edge {u, v} if present and reports
 // whether it was removed.
 func (g *Graph) RemoveEdge(u, v int) bool {
-	e := NewEdge(u, v)
-	if !g.edges[e] {
+	if !g.HasEdge(u, v) {
 		return false
 	}
-	delete(g.edges, e)
+	g.m--
 	g.adj[u] = removeFirst(g.adj[u], v)
 	g.adj[v] = removeFirst(g.adj[v], u)
 	return true
@@ -153,10 +153,24 @@ func removeFirst(s []int, x int) []int {
 func (g *Graph) N() int { return len(g.adj) }
 
 // M returns the number of edges.
-func (g *Graph) M() int { return len(g.edges) }
+func (g *Graph) M() int { return g.m }
 
-// HasEdge reports whether the edge {u, v} exists (by node index).
-func (g *Graph) HasEdge(u, v int) bool { return g.edges[NewEdge(u, v)] }
+// HasEdge reports whether the edge {u, v} exists (by node index). It is
+// false for indices outside 0..N-1.
+func (g *Graph) HasEdge(u, v int) bool {
+	if u < 0 || u >= len(g.adj) || v < 0 || v >= len(g.adj) {
+		return false
+	}
+	if len(g.adj[u]) > len(g.adj[v]) {
+		u, v = v, u
+	}
+	for _, x := range g.adj[u] {
+		if x == v {
+			return true
+		}
+	}
+	return false
+}
 
 // Neighbors returns the adjacency list of node u. The returned slice is
 // owned by the graph and must not be mutated by callers.
@@ -181,18 +195,29 @@ func (g *Graph) IDs() []ID {
 	return out
 }
 
-// Edges returns all edges in deterministic (sorted) order.
+// Edges returns all edges sorted by (U, V). One bucketing pass builds
+// the order in O(n + m): visiting v in ascending order, each neighbor
+// u < v files {u, v} next in u's bucket.
 func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, len(g.edges))
-	for e := range g.edges {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
+	next := make([]int, len(g.adj)) // next free slot of u's bucket
+	pos := 0
+	for u, nbrs := range g.adj {
+		next[u] = pos
+		for _, v := range nbrs {
+			if v > u {
+				pos++
+			}
 		}
-		return out[i].V < out[j].V
-	})
+	}
+	out := make([]Edge, g.m)
+	for v, nbrs := range g.adj {
+		for _, u := range nbrs {
+			if u < v {
+				out[next[u]] = Edge{U: u, V: v}
+				next[u]++
+			}
+		}
+	}
 	return out
 }
 
@@ -200,20 +225,20 @@ func (g *Graph) Edges() []Edge {
 // order, so order-sensitive algorithms (the LR planarity DFS, and the
 // certificates built from its embedding) see the same graph.
 func (g *Graph) Clone() *Graph {
-	c := New(g.N())
-	for _, id := range g.ids {
-		c.MustAddNode(id)
+	c := &Graph{
+		adj:  make([][]int, len(g.adj)),
+		ids:  slices.Clone(g.ids),
+		byID: maps.Clone(g.byID),
 	}
 	c.copyEdges(g)
 	return c
 }
 
-// copyEdges gives c, which has g's node count and no edges yet, g's edge
-// set and g's adjacency lists in order. The lists share one backing
-// array, each capped at its length so an append reallocates only that
-// list.
+// copyEdges gives c, which has g's node count and no edges yet, g's
+// adjacency lists in order. The lists share one backing array, each
+// capped at its length so an append reallocates only that list.
 func (c *Graph) copyEdges(g *Graph) {
-	slab := make([]int, 0, 2*len(g.edges))
+	slab := make([]int, 0, 2*g.m)
 	for u, nbrs := range g.adj {
 		if len(nbrs) == 0 {
 			continue
@@ -222,15 +247,7 @@ func (c *Graph) copyEdges(g *Graph) {
 		slab = append(slab, nbrs...)
 		c.adj[u] = slab[start:len(slab):len(slab)]
 	}
-	c.edges = maps.Clone(g.edges)
-}
-
-// SortedNeighbors returns a sorted copy of node u's adjacency list.
-func (g *Graph) SortedNeighbors(u int) []int {
-	out := make([]int, len(g.adj[u]))
-	copy(out, g.adj[u])
-	sort.Ints(out)
-	return out
+	c.m = g.m
 }
 
 // RelabelIDs returns a copy of g whose node at index i carries ids[i].
@@ -247,27 +264,6 @@ func (g *Graph) RelabelIDs(ids []ID) (*Graph, error) {
 	}
 	c.copyEdges(g)
 	return c, nil
-}
-
-// InducedSubgraph returns the subgraph induced by keep (indices into g),
-// preserving identifiers. Each kept node's adjacency list keeps the kept
-// neighbors in g's order. The second return value maps old index -> new.
-func (g *Graph) InducedSubgraph(keep []int) (*Graph, map[int]int) {
-	sub := New(len(keep))
-	old2new := make(map[int]int, len(keep))
-	for _, u := range keep {
-		old2new[u] = sub.MustAddNode(g.ids[u])
-	}
-	for _, u := range keep {
-		nu := old2new[u]
-		for _, v := range g.adj[u] {
-			if nv, ok := old2new[v]; ok {
-				sub.adj[nu] = append(sub.adj[nu], nv)
-				sub.edges[NewEdge(nu, nv)] = true
-			}
-		}
-	}
-	return sub, old2new
 }
 
 // String renders a compact description, useful in test failures.

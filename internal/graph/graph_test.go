@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"testing/quick"
 )
 
 func TestAddNodeAssignsSequentialIndices(t *testing.T) {
@@ -133,24 +132,6 @@ func TestRelabelIDs(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g := NewWithNodes(5)
-	g.MustAddEdge(0, 1)
-	g.MustAddEdge(1, 2)
-	g.MustAddEdge(2, 3)
-	g.MustAddEdge(3, 4)
-	sub, m := g.InducedSubgraph([]int{1, 2, 3})
-	if sub.N() != 3 || sub.M() != 2 {
-		t.Fatalf("induced subgraph = %v, want n=3 m=2", sub)
-	}
-	if !sub.HasEdge(m[1], m[2]) || !sub.HasEdge(m[2], m[3]) {
-		t.Fatal("induced subgraph lost inner edges")
-	}
-	if sub.HasEdge(m[1], m[3]) {
-		t.Fatal("induced subgraph invented an edge")
-	}
-}
-
 func TestBFSPathGraph(t *testing.T) {
 	g := NewWithNodes(5)
 	for i := 0; i < 4; i++ {
@@ -265,57 +246,6 @@ func TestDegeneracyOrderPropertyRandom(t *testing.T) {
 	}
 }
 
-func TestDSU(t *testing.T) {
-	d := NewDSU(5)
-	if !d.Union(0, 1) || !d.Union(2, 3) {
-		t.Fatal("fresh unions reported no-op")
-	}
-	if d.Union(1, 0) {
-		t.Fatal("repeated union reported a merge")
-	}
-	if !d.SameSet(0, 1) || d.SameSet(1, 2) {
-		t.Fatal("SameSet wrong")
-	}
-	d.Union(1, 3)
-	if !d.SameSet(0, 2) {
-		t.Fatal("transitive union broken")
-	}
-	if d.SameSet(0, 4) {
-		t.Fatal("singleton merged spuriously")
-	}
-}
-
-func TestDSUQuickTransitivity(t *testing.T) {
-	f := func(pairs []uint8) bool {
-		d := NewDSU(16)
-		naive := make([]int, 16)
-		for i := range naive {
-			naive[i] = i
-		}
-		for _, p := range pairs {
-			a, b := int(p>>4), int(p&0x0f)
-			d.Union(a, b)
-			ra, rb := naive[a], naive[b]
-			for i := range naive {
-				if naive[i] == rb {
-					naive[i] = ra
-				}
-			}
-		}
-		for i := 0; i < 16; i++ {
-			for j := 0; j < 16; j++ {
-				if d.SameSet(i, j) != (naive[i] == naive[j]) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestIsTreeEdge(t *testing.T) {
 	parent := []int{0, 0, 1}
 	if !IsTreeEdge(parent, 0, 1) || !IsTreeEdge(parent, 2, 1) {
@@ -334,9 +264,9 @@ func TestStringer(t *testing.T) {
 	}
 }
 
-// TestCopiesKeepAdjacencyOrder checks that Clone, RelabelIDs and
-// InducedSubgraph reproduce every adjacency list in order: the LR
-// planarity DFS, and so every certificate, depends on that order.
+// TestCopiesKeepAdjacencyOrder checks that Clone and RelabelIDs
+// reproduce every adjacency list in order: the LR planarity DFS, and so
+// every certificate, depends on that order.
 func TestCopiesKeepAdjacencyOrder(t *testing.T) {
 	g := NewWithNodes(6)
 	for _, e := range [][2]int{{0, 3}, {4, 0}, {0, 1}, {2, 1}, {5, 0}, {3, 2}, {1, 5}, {4, 2}} {
@@ -362,21 +292,5 @@ func TestCopiesKeepAdjacencyOrder(t *testing.T) {
 	c.MustAddEdge(3, 4)
 	if g.HasEdge(3, 4) || len(g.Neighbors(3)) != 2 || len(g.Neighbors(4)) != 2 {
 		t.Fatal("adding an edge to a clone changed the original")
-	}
-
-	sub, old2new := g.InducedSubgraph([]int{5, 0, 1, 2})
-	for _, u := range []int{5, 0, 1, 2} {
-		var want []int
-		for _, v := range g.Neighbors(u) {
-			if nv, ok := old2new[v]; ok {
-				want = append(want, nv)
-			}
-		}
-		if got := sub.Neighbors(old2new[u]); !slices.Equal(got, want) {
-			t.Fatalf("InducedSubgraph: neighbors of %d = %v, want %v", u, got, want)
-		}
-	}
-	if sub.M() != 4 {
-		t.Fatalf("InducedSubgraph: m = %d, want 4", sub.M())
 	}
 }

@@ -142,47 +142,3 @@ func (g *Graph) DegeneracyOrder() (order []int, degeneracy int) {
 	}
 	return order, degeneracy
 }
-
-// DSU is a disjoint-set union (union-find) with path compression and
-// union by rank.
-type DSU struct {
-	parent []int
-	rank   []int
-}
-
-// NewDSU returns a DSU over n singleton elements.
-func NewDSU(n int) *DSU {
-	d := &DSU{parent: make([]int, n), rank: make([]int, n)}
-	for i := range d.parent {
-		d.parent[i] = i
-	}
-	return d
-}
-
-// Find returns the representative of x's set.
-func (d *DSU) Find(x int) int {
-	for d.parent[x] != x {
-		d.parent[x] = d.parent[d.parent[x]]
-		x = d.parent[x]
-	}
-	return x
-}
-
-// Union merges the sets of a and b and reports whether they were distinct.
-func (d *DSU) Union(a, b int) bool {
-	ra, rb := d.Find(a), d.Find(b)
-	if ra == rb {
-		return false
-	}
-	if d.rank[ra] < d.rank[rb] {
-		ra, rb = rb, ra
-	}
-	d.parent[rb] = ra
-	if d.rank[ra] == d.rank[rb] {
-		d.rank[ra]++
-	}
-	return true
-}
-
-// SameSet reports whether a and b belong to the same set.
-func (d *DSU) SameSet(a, b int) bool { return d.Find(a) == d.Find(b) }

@@ -465,11 +465,17 @@ func (ms *session) ringAfterLocked(acked uint64) (replay []*watchEvent, reset bo
 			replay = append(replay, ev)
 		}
 	}
-	// Covered iff the oldest replayed event is the one right after the
-	// cursor; generations advance by exactly one per stored event. An
-	// uncovered gap forces a full re-sync, and since every event carries
-	// a complete report, only the latest one is worth replaying then.
-	if len(replay) == 0 || replay[0].version != acked+1 {
+	// Covered iff the replayed versions run acked+1, acked+2, ... with
+	// no hole. The ring can skip a version even when its oldest entry
+	// follows the cursor: a batch applied in memory whose persist failed
+	// bumps the generation without a broadcast. An uncovered gap forces
+	// a full re-sync, and since every event carries a complete report,
+	// only the latest one is worth replaying then.
+	covered := len(replay) > 0
+	for i, ev := range replay {
+		covered = covered && ev.version == acked+1+uint64(i)
+	}
+	if !covered {
 		return []*watchEvent{ms.last}, true
 	}
 	return replay, false

@@ -532,7 +532,8 @@ func TestSubscriptionEviction(t *testing.T) {
 }
 
 // TestRingCoverage pins ringAfterLocked: a gap the ring no longer
-// covers resets instead of replaying a hole.
+// covers, or a version missing inside it, resets instead of replaying a
+// hole.
 func TestRingCoverage(t *testing.T) {
 	ms := newTestSession(t, "ring")
 	defer ms.close()
@@ -556,6 +557,27 @@ func TestRingCoverage(t *testing.T) {
 	replay, reset = ms.ringAfterLocked(gen + 1)
 	if !reset || len(replay) != 1 || replay[0].version != gen+12 {
 		t.Fatalf("uncovered: reset %v, %d events", reset, len(replay))
+	}
+
+	// A hole inside the ring: a batch applied in memory whose persist
+	// failed bumps the generation without a broadcast, so the ring holds
+	// gen+1 and gen+3 but not gen+2. Resuming from gen must reset, not
+	// skip gen+2 silently.
+	hs := newTestSession(t, "ringhole")
+	defer hs.close()
+	gen = hs.last.version
+	hs.broadcast(&planarcert.SessionReport{Generation: gen + 1})
+	hs.broadcast(&planarcert.SessionReport{Generation: gen + 3})
+	hs.watchMu.Lock()
+	defer hs.watchMu.Unlock()
+	replay, reset = hs.ringAfterLocked(gen)
+	if !reset || len(replay) != 1 || replay[0].version != gen+3 {
+		t.Fatalf("hole: reset %v, %d events", reset, len(replay))
+	}
+	// Past the hole the ring covers the cursor again.
+	replay, reset = hs.ringAfterLocked(gen + 2)
+	if reset || len(replay) != 1 || replay[0].version != gen+3 {
+		t.Fatalf("past the hole: reset %v, %d events", reset, len(replay))
 	}
 }
 

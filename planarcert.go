@@ -124,7 +124,9 @@ func (n *Network) Connected() bool { return n.g.Connected() }
 func (n *Network) IDs() []NodeID { return n.g.IDs() }
 
 // Edges returns all undirected edges as identifier pairs, each with the
-// smaller identifier first, in insertion order.
+// smaller identifier first. They are sorted by node index (the order in
+// which nodes were added) of the earlier-added endpoint, then of the
+// later-added one; this is not the order in which edges were added.
 func (n *Network) Edges() [][2]NodeID {
 	out := make([][2]NodeID, 0, n.g.M())
 	for _, e := range n.g.Edges() {
